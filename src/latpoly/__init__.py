@@ -9,6 +9,7 @@ four-boundary-weight models, all in exact rational arithmetic.
 
 from .errors import (
     CutOutOfRange,
+    GuardViolation,
     IndexOutOfRange,
     InsufficientWeights,
     LatPolyError,

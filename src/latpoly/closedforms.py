@@ -18,7 +18,7 @@ output.
 The outer sums of the binomial expansions are infinite as written; each
 summand vanishes outside the support of its binomial factors, which yields
 finite ranges derived below.  One extra layer beyond the derived range is
-always evaluated and asserted to be zero, so a wrong bound fails loudly
+always evaluated and checked to be zero, so a wrong bound fails loudly
 instead of truncating silently.
 """
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .errors import IndexOutOfRange, InsufficientWeights
+from .errors import GuardViolation, IndexOutOfRange, InsufficientWeights
 from .symbolic import (
     LaurentPolynomial,
     ONE,
@@ -59,6 +59,12 @@ def binom(n: int, k: int) -> int:
 def extended_catalan(n: int, k: int) -> int:
     """C(2n, k) - C(2n, k-1) under the vanishing convention above."""
     return binom(2 * n, k) - binom(2 * n, k - 1)
+
+
+def _check_guard(value, what: str) -> None:
+    """A guard layer lies past a derived support bound, so it must be zero."""
+    if value:
+        raise GuardViolation(f"{what} must vanish, got {value}")
 
 
 def _coerce_value(value) -> LaurentPolynomial:
@@ -172,7 +178,7 @@ def dmr_sum(p: DmrParams) -> LaurentPolynomial:
     for m in range(0, r + 2):
         term = extended_catalan(r, r - m)
         if m == r + 1:
-            assert term == 0, "guard layer of the single sum must vanish"
+            _check_guard(term, "guard layer of the single sum")
         if term:
             total = total + term * _KH ** m
 
@@ -206,9 +212,9 @@ def dmr_sum(p: DmrParams) -> LaurentPolynomial:
                             p_guard = p_guard + piece
                         else:
                             layer = layer + piece
-        assert p_guard.is_zero, "guard diagonal of the p sums must vanish"
+        _check_guard(p_guard, "guard diagonal of the p sums")
         if m == m_max + 1:
-            assert layer.is_zero, "guard layer of the m sum must vanish"
+            _check_guard(layer, "guard layer of the m sum")
         total = total + layer
     return total.substitute(p._output_substitution())
 
@@ -285,7 +291,7 @@ def four_weight_sum(p: FourWeightParams) -> LaurentPolynomial:
                 continue
             layer = layer + (binom(i, j) * kh12 ** j * _KH2 ** (i - j)) * triple
         if i == r + 1:
-            assert layer.is_zero, "guard layer of the double sum must vanish"
+            _check_guard(layer, "guard layer of the double sum")
         total = total + layer
 
     m_max = (r + 1) // (L - 2)
@@ -341,9 +347,9 @@ def four_weight_sum(p: FourWeightParams) -> LaurentPolynomial:
                                     v_guard = v_guard + acc
                                 else:
                                     m_layer = m_layer + acc
-        assert v_guard.is_zero, "guard diagonal of the v sums must vanish"
+        _check_guard(v_guard, "guard diagonal of the v sums")
         if m == m_max + 1:
-            assert m_layer.is_zero, "guard layer of the m sum must vanish"
+            _check_guard(m_layer, "guard layer of the m sum")
         total = total + m_layer
     return total.substitute(p._output_substitution())
 

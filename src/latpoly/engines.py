@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import SizeLimit, ZeroLambda
+from .errors import SizeLimit, TruncationInsufficient, ZeroLambda
 from .symbolic import (
     LaurentPolynomial,
     ONE,
@@ -323,14 +323,19 @@ def h_factor(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
     return out
 
 
-def _series_numerator(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
+def _x_product(q: StripQuery, w: WeightSpec, order: int,
+               exponent: int | None = None) -> TruncatedSeries:
+    """x^(Y-Y') * recip(P_Y') * h * recip(P^(Y+1)_{L-Y}) / recip(P_{L+1})
+    as a series in x, the denominator inverted to ``order``: the whole
+    product, or only its x^exponent coefficient."""
     lo, hi = q.y_lo, q.y_hi
     num = reciprocal(ortho_poly(lo, 0, w))
     num = num * h_factor(q, w)
     num = num * reciprocal(ortho_poly(q.L - hi, hi + 1, w))
     if hi - lo:
         num = num * monomial(1, x=hi - lo)
-    return num
+    den = reciprocal(ortho_poly(q.L + 1, 0, w))
+    return series_invert(den, order, var="x").mul_poly(num, exponent)
 
 
 def viennot_ct(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
@@ -344,12 +349,7 @@ def viennot_ct(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
     weights."""
     if q.L != w.strip_height:
         raise ValueError(f"query strip L={q.L} != weights strip L={w.strip_height}")
-    num = _series_numerator(q, w)
-    if num.is_zero:
-        return ZERO
-    den = reciprocal(ortho_poly(q.L + 1, 0, w))
-    inv = series_invert(den, q.t, var="x")
-    return inv.mul_poly(num).coefficient(q.t)
+    return _x_product(q, w, q.t, exponent=q.t).coefficient(q.t)
 
 
 def generating_function(y_start: int, y_end: int, L: int, w: WeightSpec,
@@ -360,12 +360,8 @@ def generating_function(y_start: int, y_end: int, L: int, w: WeightSpec,
     q = StripQuery(0, y_start, y_end, L)
     if L != w.strip_height:
         raise ValueError(f"argument L={L} != weights strip L={w.strip_height}")
-    num = _series_numerator(q, w)
-    den = reciprocal(ortho_poly(L + 1, 0, w))
-    inv = series_invert(den, order, var="x")
-    product = inv.mul_poly(num)
-    coeffs = {e: product.coefficient(e)
-              for e in range(0, order + 1)}
+    product = _x_product(q, w, order)
+    coeffs = {e: product.coefficient(e) for e in range(order + 1)}
     return TruncatedSeries("x", coeffs, order)
 
 
@@ -413,7 +409,7 @@ def rho_ct(q: StripQuery, w: WeightSpec, b=None, lam=None) -> LaurentPolynomial:
     # inverted range, with one spare order
     need = -(L + 1) - num.min_exponent("rho")
     if order < need + 1:
-        raise RuntimeError(
+        raise TruncationInsufficient(
             f"series order {order} does not cover the integrand support {need}")
     inv = _rho_denominator_inverse(w, b, lam, order)
-    return inv.mul_poly(num).constant_term()
+    return inv.mul_poly(num, exponent=0).constant_term()

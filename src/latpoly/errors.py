@@ -36,6 +36,11 @@ class SizeLimit(LatPolyError):
     """An enumeration would exceed its configured cap."""
 
 
+class GuardViolation(LatPolyError):
+    """A closed-form sum's guard layer, evaluated past the derived support
+    bound, is nonzero: the bound is wrong and the sum would be truncated."""
+
+
 class CutOutOfRange(LatPolyError):
     """Edge or vertex cut position outside the valid range."""
 

@@ -20,7 +20,9 @@ remaining symbols, together with the largest exponent that can be trusted.
 from __future__ import annotations
 
 import re
+import threading
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     NonInvertibleSubstitution,
@@ -126,13 +128,6 @@ class LaurentPolynomial:
         """Largest sum of exponents over the terms (0 for the zero polynomial)."""
         return max((sum(e for _, e in m) for m in self._terms), default=0)
 
-    def exponents_of(self, var: str):
-        """Sorted distinct exponents of ``var`` across all terms."""
-        seen = set()
-        for m in self._terms:
-            seen.add(dict(m).get(var, 0))
-        return sorted(seen)
-
     def min_exponent(self, var: str) -> int:
         if not self._terms:
             raise ValueError("zero polynomial has no extremal exponent")
@@ -146,14 +141,22 @@ class LaurentPolynomial:
     def degree(self, var: str) -> int:
         return self.max_exponent(var)
 
+    def split(self, var: str) -> dict:
+        """{exponent of var: its coefficient, a polynomial in the other
+        symbols}, built in one pass over the terms."""
+        parts: dict = {}
+        for m, c in self._terms.items():
+            e, rest = 0, m
+            for i, (name, k) in enumerate(m):
+                if name == var:
+                    e, rest = k, m[:i] + m[i + 1:]
+                    break
+            parts.setdefault(e, {})[rest] = c
+        return {e: LaurentPolynomial._raw(t) for e, t in parts.items()}
+
     def coefficient_of(self, var: str, exponent: int) -> "LaurentPolynomial":
         """Coefficient of var**exponent, as a polynomial in the other symbols."""
-        out = {}
-        for m, c in self._terms.items():
-            d = dict(m)
-            if d.pop(var, 0) == exponent:
-                out[tuple(sorted(d.items()))] = c
-        return LaurentPolynomial._raw(out)
+        return self.split(var).get(exponent, ZERO)
 
     def constant_term(self, var: str = SERIES_VAR) -> "LaurentPolynomial":
         """Coefficient of var**0 (all terms not containing var)."""
@@ -443,10 +446,12 @@ class TruncatedSeries:
 
     ``coefficients`` maps exponents of ``var`` to polynomials in the other
     symbols; every stored exponent is at most ``truncation_order``, the
-    largest exponent whose coefficient is trusted.
+    largest exponent whose coefficient is trusted.  A series made by
+    ``mul_poly(p, exponent=e)`` knows the coefficient of var**e alone and
+    refuses to read or multiply anything else.
     """
 
-    __slots__ = ("var", "_coeffs", "truncation_order")
+    __slots__ = ("var", "_coeffs", "truncation_order", "_only")
 
     def __init__(self, var: str, coefficients: dict, truncation_order: int):
         self.var = var
@@ -460,6 +465,7 @@ class TruncatedSeries:
                     f"stored exponent {e} beyond truncation order {truncation_order}")
             self._coeffs[int(e)] = c
         self.truncation_order = int(truncation_order)
+        self._only = None
 
     def coefficients(self) -> dict:
         return dict(self._coeffs)
@@ -468,40 +474,54 @@ class TruncatedSeries:
         """Smallest stored exponent (0 for the all-zero series)."""
         return min(self._coeffs, default=0)
 
+    def _check_known(self, exponent: int | None = None) -> None:
+        """Refuse what a single-coefficient series does not know: any other
+        coefficient, or (with no exponent) the whole series."""
+        if self._only is not None and exponent != self._only:
+            raise TruncationInsufficient(
+                f"only the coefficient of {self.var}^{self._only} was computed")
+
     def coefficient(self, exponent: int) -> LaurentPolynomial:
         """Coefficient of var**exponent; beyond the trusted order is an error."""
         if exponent > self.truncation_order:
             raise TruncationInsufficient(
                 f"exponent {exponent} beyond truncation order {self.truncation_order}")
+        self._check_known(exponent)
         return self._coeffs.get(exponent, ZERO)
 
     def constant_term(self) -> LaurentPolynomial:
-        if self.truncation_order < 0:
-            raise TruncationInsufficient(
-                f"truncation order {self.truncation_order} < 0")
-        return self._coeffs.get(0, ZERO)
+        return self.coefficient(0)
 
-    def mul_poly(self, p) -> "TruncatedSeries":
+    def mul_poly(self, p, exponent: int | None = None) -> "TruncatedSeries":
         """Multiply by a polynomial; the trusted order shifts by its lowest
-        exponent in ``var`` (unknown tail terms pollute everything above)."""
-        p = as_poly(p)
-        if p.is_zero:
-            return TruncatedSeries(self.var, {}, self.truncation_order)
-        shift = p.min_exponent(self.var)
-        order = self.truncation_order + shift
-        out: dict = {}
-        for pe in p.exponents_of(self.var):
-            pc = p.coefficient_of(self.var, pe)
-            if pc.is_zero:
-                continue
-            for se, sc in self._coeffs.items():
-                e = se + pe
-                if e > order:
-                    continue
-                prod = sc * pc
-                cur = out.get(e)
-                out[e] = prod if cur is None else cur + prod
-        return TruncatedSeries(self.var, out, order)
+        exponent in ``var`` (unknown tail terms pollute everything above).
+
+        With ``exponent`` set, only the coefficient of var**exponent is
+        computed, as the sum of p[e] * self[exponent - e] over the exponents
+        e of p, and the result holds that coefficient alone."""
+        self._check_known()
+        parts = as_poly(p).split(self.var)
+        order = self.truncation_order + min(parts, default=0)
+        if exponent is None:
+            out: dict = {}
+            for pe, pc in parts.items():
+                for se, sc in self._coeffs.items():
+                    e = se + pe
+                    if e <= order:
+                        prod = sc * pc
+                        out[e] = out[e] + prod if e in out else prod
+            return TruncatedSeries(self.var, out, order)
+        if exponent > order:
+            raise TruncationInsufficient(
+                f"exponent {exponent} beyond truncation order {order}")
+        acc = ZERO
+        for pe, pc in parts.items():
+            sc = self._coeffs.get(exponent - pe)
+            if sc is not None:
+                acc = acc + sc * pc
+        single = TruncatedSeries(self.var, {exponent: acc}, order)
+        single._only = exponent
+        return single
 
     def __mul__(self, other):
         return self.mul_poly(other)
@@ -513,6 +533,7 @@ class TruncatedSeries:
             return NotImplemented
         return (self.var == other.var
                 and self.truncation_order == other.truncation_order
+                and self._only == other._only
                 and self._coeffs == other._coeffs)
 
     def render(self) -> str:
@@ -542,6 +563,26 @@ class TruncatedSeries:
         return f"TruncatedSeries({self.render()})"
 
 
+@lru_cache(maxsize=64)
+def _inverse_state(d: LaurentPolynomial, var: str) -> tuple:
+    """Checked split d = var**m * (u + tail) and the append-only list of the
+    coefficients of 1/(u + tail) computed so far, shared by every order of
+    ``series_invert(d, order, var)``; the lock guards its extension."""
+    if d.is_zero:
+        raise NonUnitLeadingCoefficient("cannot invert the zero polynomial")
+    parts = d.split(var)
+    m = min(parts)
+    lowest = parts.pop(m)
+    if not lowest.is_rational:
+        raise NonUnitLeadingCoefficient(
+            f"lowest coefficient {lowest} carries symbols; "
+            "series coefficients would not be polynomials")
+    # nonzero: split never yields a zero coefficient
+    unit_inv = Fraction(1) / lowest.as_fraction()
+    tail = sorted((e - m, c) for e, c in parts.items())
+    return m, tail, unit_inv, [as_poly(unit_inv)], threading.Lock()
+
+
 def series_invert(d, order: int, var: str = SERIES_VAR) -> TruncatedSeries:
     """Invert a polynomial as a series around the origin.
 
@@ -550,31 +591,23 @@ def series_invert(d, order: int, var: str = SERIES_VAR) -> TruncatedSeries:
     that is exactly when 1/d expands as a series whose coefficients stay
     polynomials in the remaining symbols.  The result s satisfies
     d*s = 1 + O(var**(order+1)).
+
+    The coefficients of 1/d are computed once per (d, var) and kept in a
+    bounded cache: a higher order extends them, a lower order reads their
+    prefix, and every call returns a series of its own.
     """
-    d = as_poly(d)
-    if d.is_zero:
-        raise NonUnitLeadingCoefficient("cannot invert the zero polynomial")
-    m = d.min_exponent(var)
-    lowest = d.coefficient_of(var, m)
-    if not lowest.is_rational:
-        raise NonUnitLeadingCoefficient(
-            f"lowest coefficient {lowest} carries symbols; "
-            "series coefficients would not be polynomials")
-    unit = lowest.as_fraction()
-    if unit == 0:
-        raise NonUnitLeadingCoefficient("lowest coefficient has zero rational part")
+    m, tail, unit_inv, inv, lock = _inverse_state(as_poly(d), var)
     if order < 0:
         raise ValueError("series order must be nonnegative")
-    unit_inv = Fraction(1) / unit
-    shifted = [d.coefficient_of(var, m + i) for i in range(order + 1)]
-    inv = [as_poly(unit_inv)]
-    for n in range(1, order + 1):
-        acc = ZERO
-        for i in range(1, n + 1):
-            if not shifted[i].is_zero:
-                acc = acc + shifted[i] * inv[n - i]
-        inv.append(acc * (-unit_inv))
-    coeffs = {n - m: c for n, c in enumerate(inv) if not c.is_zero}
+    with lock:
+        for n in range(len(inv), order + 1):
+            acc = ZERO
+            for i, c in tail:
+                if i > n:
+                    break
+                acc = acc + c * inv[n - i]
+            inv.append(acc * -unit_inv)
+        coeffs = {n - m: c for n, c in enumerate(inv[:order + 1])}
     return TruncatedSeries(var, coeffs, order - m)
 
 
@@ -591,7 +624,7 @@ def constant_term_ratio(num, den, var: str = SERIES_VAR,
         return ZERO
     need = den.min_exponent(var) - num.min_exponent(var)
     inv = series_invert(den, max(need, 0) + extra_order, var)
-    return inv.mul_poly(num).constant_term()
+    return inv.mul_poly(num, exponent=0).constant_term()
 
 
 # -- expression parsing -------------------------------------------------------

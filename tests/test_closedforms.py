@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import latpoly
+import latpoly.closedforms as closedforms
 from latpoly import (
     DmrParams,
     FourWeightParams,
+    GuardViolation,
     IndexOutOfRange,
     InsufficientWeights,
     ONE,
@@ -86,6 +93,41 @@ def test_dmr_undecorated_specialization():
 def test_dmr_L_guard():
     with pytest.raises(ValueError):
         DmrParams(2, 1)
+
+
+# a wrong support bound: C(r; -1), the single sum's guard layer, turns nonzero
+_BROKEN_GUARD = """
+import sys
+import latpoly.closedforms as closedforms
+exact = closedforms.extended_catalan
+closedforms.extended_catalan = lambda n, k: 1 if k == -1 else exact(n, k)
+print("optimize", sys.flags.optimize)
+try:
+    closedforms.dmr_sum(closedforms.DmrParams(2, 3))
+except Exception as exc:
+    print(type(exc).__name__, exc)
+else:
+    print("no error")
+"""
+
+
+def test_dmr_guard_survives_optimize():
+    src = str(Path(latpoly.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_GUARD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "optimize 1"
+    assert lines[1].startswith("GuardViolation guard layer of the single sum"), lines
+
+
+def test_four_weight_guard_raises(monkeypatch):
+    exact = closedforms._inner_triple
+    monkeypatch.setattr(closedforms, "_inner_triple",
+                        lambda u, r: ONE if u > 2 * r + 1 else exact(u, r))
+    with pytest.raises(GuardViolation, match="guard layer of the double sum"):
+        four_weight_sum(FourWeightParams(2, 4))
 
 
 def test_four_weight_anchor_values():

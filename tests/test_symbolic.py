@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+import threading
 from fractions import Fraction
 from math import comb
 
@@ -24,6 +26,7 @@ from latpoly import (
     series_invert,
     sym,
 )
+from latpoly.symbolic import _inverse_state
 
 RHO = sym("rho")
 X = sym("x")
@@ -321,3 +324,78 @@ def test_hash_consistency():
     assert a == b and hash(a) == hash(b)
     assert as_poly(2) == LaurentPolynomial({(): Fraction(2)})
     assert hash(as_poly(2)) == hash(LaurentPolynomial({(): Fraction(2)}))
+
+
+# -- the cached, order-extendable inverse and single-coefficient products -----
+
+@st.composite
+def unit_led(draw):
+    """rho**m * (u + rho * tail): a nonzero rational u leads, so d inverts."""
+    m = draw(st.integers(-2, 2))
+    unit = Fraction(draw(st.sampled_from([-3, -1, 1, 2])), draw(st.integers(1, 3)))
+    # generated tails reach rho^-2, so rho^(m+3) * tail starts above rho^m
+    return monomial(unit, rho=m) + RHO ** (m + 3) * draw(polys())
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_led(), st.lists(st.integers(0, 8), min_size=1, max_size=6))
+def test_series_invert_is_history_independent(d, orders):
+    fresh = {}
+    for order in set(orders):
+        _inverse_state.cache_clear()
+        fresh[order] = series_invert(d, order)
+    _inverse_state.cache_clear()
+    for order in orders:  # rising and falling, extending and reading prefixes
+        got = series_invert(d, order)
+        assert got == fresh[order]
+        assert got.truncation_order == fresh[order].truncation_order
+        # a caller's mutation must not reach the cache
+        got._coeffs.clear()
+        got._coeffs[got.truncation_order] = sym("kappa")
+        got.truncation_order += 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_led(), polys(), st.integers(0, 6))
+def test_mul_poly_single_coefficient(d, p, order):
+    s = series_invert(d, order)
+    full = s.mul_poly(p)
+    top = full.truncation_order
+    for e in range(min(s.min_index() + min(p.split("rho"), default=0), top) - 1, top + 1):
+        single = s.mul_poly(p, exponent=e)
+        assert single.coefficient(e) == full.coefficient(e)
+        assert single.truncation_order == top
+        for other in (e - 1, e + 1):
+            with pytest.raises(TruncationInsufficient):
+                single.coefficient(other)
+        with pytest.raises(TruncationInsufficient):
+            single.mul_poly(ONE)
+    with pytest.raises(TruncationInsufficient):
+        s.mul_poly(p, exponent=top + 1)
+
+
+def test_series_invert_shared_across_threads():
+    d = 1 - 2 * RHO + sym("kappa") * RHO ** 2 - RHO ** 3
+    orders = [3, 12, 7, 15, 1, 10, 15, 5]
+    expected = {n: series_invert(d, n) for n in orders}
+    failures = []
+
+    def worker(shift):
+        for n in orders[shift:] + orders[:shift]:
+            if series_invert(d, n) != expected[n]:
+                failures.append(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):  # each round extends a fresh state from 8 threads
+            _inverse_state.cache_clear()
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
