@@ -330,7 +330,8 @@ def test_hash_consistency():
 
 @st.composite
 def unit_led(draw):
-    """rho**m * (u + rho * tail): a nonzero rational u leads, so d inverts."""
+    """u * rho**m plus higher powers of rho: the lowest coefficient is a
+    nonzero rational u, so d inverts."""
     m = draw(st.integers(-2, 2))
     unit = Fraction(draw(st.sampled_from([-3, -1, 1, 2])), draw(st.integers(1, 3)))
     # generated tails reach rho^-2, so rho^(m+3) * tail starts above rho^m
