@@ -71,6 +71,7 @@ from .engines import (
 from .closedforms import (
     DmrParams,
     FourWeightParams,
+    RogersParams,
     dmr_ct,
     dmr_sum,
     extended_catalan,

@@ -13,7 +13,10 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields
 from fractions import Fraction
+from functools import cache
+from math import inf
 
 from .errors import LatPolyError, SchemaError
 from .symbolic import LaurentPolynomial, as_poly, parse_polynomial, sym
@@ -26,19 +29,7 @@ from .engines import (
     transfer_matrix,
     viennot_ct,
 )
-from .closedforms import (
-    DmrParams,
-    FourWeightParams,
-    dmr_ct,
-    dmr_sum,
-    four_weight_ct,
-    four_weight_sum,
-    rogers,
-    rogers_weight_spec,
-)
-
-ENGINE_NAMES = ("brute", "tmatrix", "viennot-ct", "rho-ct", "closed-form", "closed-sum")
-GENERIC_ENGINES = ("brute", "tmatrix", "viennot-ct", "rho-ct")
+from .closedforms import DmrParams, FourWeightParams, RogersParams
 
 
 # -- weights JSON -------------------------------------------------------------
@@ -131,15 +122,11 @@ def parse_weights(text: str) -> WeightSpec:
         raise SchemaError("", str(exc)) from None
 
 
-def _rational_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def weights_to_json(w: WeightSpec) -> dict:
     """Inverse of parse_weights up to canonical rendering."""
     return {
-        "b": _rational_str(w.background_b),
-        "lambda": _rational_str(w.background_lambda),
+        "b": str(w.background_b),
+        "lambda": str(w.background_lambda),
         "L": w.strip_height,
         "across_decorations": {str(h): v.render()
                                for h, v in sorted(w.across_decorations.items())},
@@ -148,184 +135,37 @@ def weights_to_json(w: WeightSpec) -> dict:
     }
 
 
-# -- models -------------------------------------------------------------------
+# -- models and jobs ----------------------------------------------------------
+
+# A model's first field is its half-length (r or n) and it has a strip
+# height L; --param KEY=VALUE sets the field KEY.
+_MODELS = {"dmr": DmrParams, "four": FourWeightParams, "rogers": RogersParams}
+
 
 def _param_value(text: str):
     """A model parameter: integer, rational, 'inf', or a symbol expression."""
     if text == "inf":
-        return None
+        return inf
     try:
         frac = Fraction(text)
-        return int(frac) if frac.denominator == 1 else frac
-    except ValueError:
-        pass
-    return parse_polynomial(text)
+    except (ValueError, ZeroDivisionError):
+        return parse_polynomial(text)
+    return int(frac) if frac.denominator == 1 else frac
 
 
-class ModelJob:
-    """A named closed-form model with its parameters."""
-
-    def __init__(self, name: str, params: dict):
-        self.name = name
-        self.params = params
-
-    @staticmethod
-    def build(name: str, raw: dict) -> "ModelJob":
-        if name == "dmr":
-            allowed = {"r", "L", "kappa", "omega"}
-        elif name == "four":
-            allowed = {"r", "L", "kappa1", "kappa2", "omega1", "omega2"}
-        elif name == "rogers":
-            allowed = {"n", "L", "kappas"}
-        else:
-            raise ValueError(f"unknown model {name!r}")
-        params = {}
-        for key, value in raw.items():
-            if name == "rogers" and key == "kappas":
-                params[key] = [parse_polynomial(part)
-                               for part in value.split(",")]
-            else:
-                params[key] = _param_value(value)
-        unknown = set(params) - allowed
-        if unknown:
-            raise ValueError(f"unknown parameter {sorted(unknown)[0]!r} for model {name}")
-        return ModelJob(name, params)
-
-    def _require_int(self, key: str) -> int:
-        value = self.params.get(key)
-        if not isinstance(value, int):
-            raise ValueError(f"model {self.name} needs integer parameter {key}")
-        return value
-
-    def half_length(self) -> int:
-        return self._require_int("n" if self.name == "rogers" else "r")
-
-    def strip_height(self):
-        if self.name == "rogers" and self.params.get("L") is None:
-            return None
-        return self._require_int("L")
-
-    def with_half_length(self, value: int) -> "ModelJob":
-        key = "n" if self.name == "rogers" else "r"
-        return ModelJob(self.name, {**self.params, key: value})
-
-    def with_strip(self, value: int) -> "ModelJob":
-        return ModelJob(self.name, {**self.params, "L": value})
-
-    def _dmr(self) -> DmrParams:
-        return DmrParams(self._require_int("r"), self._require_int("L"),
-                         self.params.get("kappa", sym("kappa")),
-                         self.params.get("omega", sym("omega")))
-
-    def _four(self) -> FourWeightParams:
-        return FourWeightParams(self._require_int("r"), self._require_int("L"),
-                                self.params.get("kappa1", sym("kappa_1")),
-                                self.params.get("kappa2", sym("kappa_2")),
-                                self.params.get("omega1", sym("omega_1")),
-                                self.params.get("omega2", sym("omega_2")))
-
-    def _rogers_args(self):
-        n = self._require_int("n")
-        L = self.strip_height()
-        bound = n if L is None else min(n, L)
-        kappas = self.params.get("kappas")
-        if kappas is None:
-            kappas = [sym(f"kappa_{i}") for i in range(1, max(bound, 1) + 1)]
-        return n, L, kappas
-
-    def closed_form(self) -> LaurentPolynomial:
-        if self.name == "dmr":
-            return dmr_ct(self._dmr())
-        if self.name == "four":
-            return four_weight_ct(self._four())
-        n, L, kappas = self._rogers_args()
-        return rogers(n, L, kappas)
-
-    def closed_sum(self) -> LaurentPolynomial:
-        if self.name == "dmr":
-            return dmr_sum(self._dmr())
-        if self.name == "four":
-            return four_weight_sum(self._four())
-        n, L, kappas = self._rogers_args()
-        return rogers(n, L, kappas)
-
-    def weight_spec(self) -> WeightSpec:
-        if self.name == "dmr":
-            return self._dmr().weight_spec()
-        if self.name == "four":
-            return self._four().weight_spec()
-        n, L, kappas = self._rogers_args()
-        if L is None:
-            L = n  # a length-2n path cannot rise above height n
-        return rogers_weight_spec(L, kappas)
-
-    def query(self) -> StripQuery:
-        L = self.strip_height()
-        if L is None:
-            L = self.half_length()
-        return StripQuery(2 * self.half_length(), 0, 0, L)
-
-
-# -- engine dispatch ----------------------------------------------------------
-
-def _run_engine(engine: str, q: StripQuery, w: WeightSpec,
-                model: ModelJob | None, cap: int) -> LaurentPolynomial:
-    if engine == "brute":
-        return brute_force(q, w, cap=cap)
-    if engine == "tmatrix":
-        return transfer_matrix(q, w)
-    if engine == "viennot-ct":
-        return viennot_ct(q, w)
-    if engine == "rho-ct":
-        return rho_ct(q, w)
-    if engine == "closed-form":
-        if model is None:
-            raise ValueError("engine closed-form needs --model")
-        return model.closed_form()
-    if engine == "closed-sum":
-        if model is None:
-            raise ValueError("engine closed-sum needs --model")
-        return model.closed_sum()
-    raise ValueError(f"unknown engine {engine!r}")
-
-
-def _format_value(value: LaurentPolynomial, fmt: str) -> str:
-    if fmt == "latex":
-        return value.latex()
-    return value.render()
-
-
-def _emit(doc, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(doc, indent=2, sort_keys=True)
-    raise AssertionError("only json goes through _emit")
-
-
-# -- subcommands --------------------------------------------------------------
-
-def _load_job(args):
-    """(query, weights, model) for compute/crosscheck/bench arguments."""
-    model = None
-    if args.model:
-        raw = dict(kv.split("=", 1) for kv in (args.param or []))
-        model = ModelJob.build(args.model, raw)
-        q = model.query()
-        w = model.weight_spec()
-    elif args.weights:
-        with open(args.weights) as handle:
-            w = parse_weights(handle.read())
-        L = w.strip_height
-        if args.L is not None and args.L != L:
-            raise ValueError(f"--L {args.L} contradicts weights file L={L}")
-        q = StripQuery(args.t if args.t is not None else 0,
-                       args.y_start, args.y_end, L)
-    else:
-        if args.L is None:
-            raise ValueError("need --weights, --model, or --L for symbolic weights")
-        w = _symbolic_weights(args.L)
-        q = StripQuery(args.t if args.t is not None else 0,
-                       args.y_start, args.y_end, args.L)
-    return q, w, model
+def _model_params(name: str, pairs) -> dict:
+    """Constructor arguments of model ``name`` from --param KEY=VALUE pairs."""
+    keys = {f.name for f in fields(_MODELS[name])}
+    params = {}
+    for pair in pairs:
+        key, sep, text = pair.partition("=")
+        if not sep:
+            raise ValueError(f"--param needs KEY=VALUE, got {pair!r}")
+        if key not in keys:
+            raise ValueError(f"unknown parameter {key!r} for model {name}")
+        params[key] = ([parse_polynomial(part) for part in text.split(",")]
+                       if key == "kappas" else _param_value(text))
+    return params
 
 
 def _symbolic_weights(L: int) -> WeightSpec:
@@ -337,94 +177,144 @@ def _symbolic_weights(L: int) -> WeightSpec:
     )
 
 
+def _weights_file(args) -> WeightSpec | None:
+    """The --weights file, which --L may only repeat, or None; refuses a negative --L."""
+    if not args.weights:
+        if args.L is not None and args.L < 0:
+            raise ValueError(f"--L must be nonnegative, got {args.L}")
+        return None
+    with open(args.weights) as handle:
+        w = parse_weights(handle.read())
+    if args.L is not None and args.L != w.strip_height:
+        raise ValueError(f"--L {args.L} contradicts weights file L={w.strip_height}")
+    return w
+
+
+def _model_jobs(args, var, values):
+    cls = _MODELS[args.model]
+    params = _model_params(args.model, args.param or [])
+    half = fields(cls)[0].name
+    if var is not None:
+        if var not in ("r", "n", "L"):
+            raise ValueError(f"model bench sweeps r, n or L, not {var}")
+        points = [(var, "L" if var == "L" else half, v) for v in values]
+    else:
+        top = getattr(cls(**params), half)
+        grid = range(top + 1) if args.mode == "crosscheck" else [top]
+        points = [("r", half, v) for v in grid]
+    for var, key, value in points:
+        model = cls(**{**params, key: value})
+        w = model.weight_spec()
+        q = StripQuery(2 * getattr(model, half), 0, 0, w.strip_height)
+        yield f"model={args.model};{var}={value}", q, w, model
+
+
+def _jobs(args, var=None, values=()):
+    """(label, query, weights, model) of every job: the one query of compute,
+    the crosscheck grid (every t' <= t and height pair, or every r' <= r),
+    or one job per value of the bench sweep."""
+    if args.model:
+        yield from _model_jobs(args, var, values)
+        return
+    fixed = _weights_file(args)
+    L = fixed.strip_height if fixed is not None else args.L
+    if L is None and args.mode != "crosscheck" and var != "L":
+        raise ValueError("need --weights, --model, or --L for symbolic weights")
+    if args.mode == "compute":
+        points = [(args.t or 0, args.y_start, args.y_end, L)]
+    elif args.mode == "crosscheck":
+        heights = [L] if fixed is not None else range((3 if L is None else L) + 1)
+        t_max = 6 if args.t is None else args.t
+        points = [(t, y0, y1, h) for h in heights for t in range(t_max + 1)
+                  for y0 in range(h + 1) for y1 in range(h + 1)]
+    elif var == "t":
+        points = [(v, args.y_start, args.y_end, L) for v in values]
+    elif var == "L":
+        if fixed is not None:
+            raise ValueError("bench over L cannot use a fixed weights file")
+        t = 6 if args.t is None else args.t
+        points = [(t, min(args.y_start, v), min(args.y_end, v), v) for v in values]
+    else:
+        raise ValueError(f"weights bench sweeps t or L, not {var}")
+    for t, y0, y1, h in points:
+        q = StripQuery(t, y0, y1, h)
+        yield q.label(), q, fixed if fixed is not None else _symbolic_weights(h), None
+
+
+# -- engines ------------------------------------------------------------------
+
+# Each entry looks its engine up by name when it runs, so a replaced or
+# wrapped module attribute is the one that is called.
+_ENGINES = {
+    "brute": lambda q, w, model, cap: brute_force(q, w, cap=cap),
+    "tmatrix": lambda q, w, model, cap: transfer_matrix(q, w),
+    "viennot-ct": lambda q, w, model, cap: viennot_ct(q, w),
+    "rho-ct": lambda q, w, model, cap: rho_ct(q, w),
+    "closed-form": lambda q, w, model, cap: model.closed_form(),
+    "closed-sum": lambda q, w, model, cap: model.closed_sum(),
+}
+ENGINE_NAMES = tuple(_ENGINES)
+GENERIC_ENGINES = ("brute", "tmatrix", "viennot-ct", "rho-ct")
+
+
+def _engines(args, model_default, default) -> list:
+    names = args.engines.split(",") if args.engines else (model_default if args.model else default)
+    for name in names:
+        if name not in _ENGINES:
+            raise ValueError(f"unknown engine {name!r}")
+        if name.startswith("closed") and not args.model:
+            raise ValueError(f"engine {name} needs --model")
+    return names
+
+
+def _timed_runs(jobs, engines, cap):
+    """(label, {engine: (value, microseconds)}) for every job."""
+    for label, q, w, model in jobs:
+        results = {}
+        for engine in engines:
+            start = time.perf_counter_ns()
+            value = _ENGINES[engine](q, w, model, cap)
+            results[engine] = (value, (time.perf_counter_ns() - start) // 1000)
+        yield label, results
+
+
+# -- subcommands --------------------------------------------------------------
+
 def _cmd_compute(args) -> int:
-    q, w, model = _load_job(args)
-    engines = args.engines.split(",") if args.engines else None
-    if engines is None:
-        engines = ["closed-form"] if model else ["tmatrix"]
+    engines = _engines(args, ["closed-form"], ["tmatrix"])
     if len(engines) != 1:
         raise ValueError("compute takes exactly one engine; use crosscheck for several")
-    value = _run_engine(engines[0], q, w, model, args.cap)
-    label = f"model={args.model};r={model.half_length()}" if model else q.label()
+    (label, q, w, model), = _jobs(args)
+    value = _ENGINES[engines[0]](q, w, model, args.cap)
     if args.format == "json":
-        print(_emit({"query": label, "engine": engines[0],
-                     "value": value.render()}, "json"))
+        print(json.dumps({"query": label, "engine": engines[0],
+                          "value": value.render()}, indent=2, sort_keys=True))
     else:
-        print(_format_value(value, args.format))
+        print(value.latex() if args.format == "latex" else value.render())
     return 0
 
 
-def _crosscheck_queries(args, model):
-    """Query grid: every t' <= t (and every height pair) or r' <= r."""
-    if model:
-        for r in range(model.half_length() + 1):
-            yield model.with_half_length(r)
-    else:
-        t_max = args.t if args.t is not None else 6
-        L_values = [args.L] if args.weights else list(range(0, (args.L or 3) + 1))
-        for L in L_values:
-            for t in range(t_max + 1):
-                for y0 in range(L + 1):
-                    for y1 in range(L + 1):
-                        yield (t, y0, y1, L)
-
-
 def _cmd_crosscheck(args) -> int:
-    model_template = None
-    weights = None
-    if args.model:
-        raw = dict(kv.split("=", 1) for kv in (args.param or []))
-        model_template = ModelJob.build(args.model, raw)
-        engines = args.engines.split(",") if args.engines else ["brute", "closed-form", "closed-sum"]
-    else:
-        if args.weights:
-            with open(args.weights) as handle:
-                weights = parse_weights(handle.read())
-            args.L = weights.strip_height
-        engines = args.engines.split(",") if args.engines else list(GENERIC_ENGINES)
-    for engine in engines:
-        if engine not in ENGINE_NAMES:
-            raise ValueError(f"unknown engine {engine!r}")
-
+    engines = _engines(args, ["brute", "closed-form", "closed-sum"], GENERIC_ENGINES)
     report = []
-    disagreement = None
-    for item in _crosscheck_queries(args, model_template):
-        if model_template:
-            model = item
-            q = model.query()
-            w = model.weight_spec()
-            label = f"model={args.model};r={model.half_length()}"
-        else:
-            t, y0, y1, L = item
-            model = None
-            w = weights if weights is not None else _symbolic_weights(L)
-            q = StripQuery(t, y0, y1, L)
-            label = q.label()
-        rendered = {}
-        micros = {}
-        for engine in engines:
-            start = time.perf_counter_ns()
-            value = _run_engine(engine, q, w, model, args.cap)
-            micros[engine] = (time.perf_counter_ns() - start) // 1000
-            rendered[engine] = value.render()
-        agree = len(set(rendered.values())) == 1
+    for label, results in _timed_runs(_jobs(args), engines, args.cap):
+        rendered = {e: value.render() for e, (value, _) in results.items()}
         report.append({"query": label, "engines": rendered,
-                       "micros": micros, "agree": agree})
-        if not agree and disagreement is None:
-            disagreement = (label, rendered)
+                       "micros": {e: micros for e, (_, micros) in results.items()},
+                       "agree": len(set(rendered.values())) == 1})
+    first_bad = next((row for row in report if not row["agree"]), None)
 
     if args.format == "json":
-        print(_emit({"queries": report, "agree": disagreement is None}, "json"))
+        print(json.dumps({"queries": report, "agree": first_bad is None},
+                         indent=2, sort_keys=True))
     else:
         for row in report:
-            status = "ok" if row["agree"] else "MISMATCH"
-            print(f"{row['query']}  {status}")
+            print(f"{row['query']}  {'ok' if row['agree'] else 'MISMATCH'}")
         print(f"crosscheck: {len(report)} queries, "
-              f"{'all agree' if disagreement is None else 'DISAGREEMENT'}")
-    if disagreement is not None:
-        label, rendered = disagreement
-        print(f"first disagreement at {label}:", file=sys.stderr)
-        for engine, text in rendered.items():
+              f"{'all agree' if first_bad is None else 'DISAGREEMENT'}")
+    if first_bad is not None:
+        print(f"first disagreement at {first_bad['query']}:", file=sys.stderr)
+        for engine, text in first_bad["engines"].items():
             print(f"  {engine}: {text}", file=sys.stderr)
         return 1
     return 0
@@ -437,78 +327,33 @@ def _parse_sweep(text: str):
     var, lo, hi = parts[0], int(parts[1]), int(parts[2])
     if lo > hi:
         raise ValueError("sweep range is empty")
-    return var, lo, hi
+    return var, range(lo, hi + 1)
 
 
 def _cmd_bench(args) -> int:
-    var, lo, hi = _parse_sweep(args.sweep)
-    model_template = None
-    weights = None
-    if args.model:
-        raw = dict(kv.split("=", 1) for kv in (args.param or []))
-        model_template = ModelJob.build(args.model, raw)
-        engines = args.engines.split(",") if args.engines else ["closed-form", "closed-sum"]
-        if var not in ("r", "n", "L"):
-            raise ValueError(f"model bench sweeps r, n or L, not {var}")
-    else:
-        if args.weights:
-            with open(args.weights) as handle:
-                weights = parse_weights(handle.read())
-        engines = args.engines.split(",") if args.engines else ["rho-ct"]
-        if var not in ("t", "L"):
-            raise ValueError(f"weights bench sweeps t or L, not {var}")
-
-    rows = []
-    for value in range(lo, hi + 1):
-        if model_template:
-            if var in ("r", "n"):
-                model = model_template.with_half_length(value)
-            else:
-                model = model_template.with_strip(value)
-            q = model.query()
-            w = model.weight_spec()
-            label = f"model={args.model};{var}={value}"
-        else:
-            model = None
-            if var == "t":
-                if weights is None and args.L is None:
-                    raise ValueError("bench over t needs --weights or --L")
-                w = weights if weights is not None else _symbolic_weights(args.L)
-                q = StripQuery(value, args.y_start, args.y_end, w.strip_height)
-            else:
-                if weights is not None:
-                    raise ValueError("bench over L cannot use a fixed weights file")
-                w = _symbolic_weights(value)
-                q = StripQuery(args.t if args.t is not None else 6,
-                               min(args.y_start, value), min(args.y_end, value), value)
-            label = q.label()
-        for engine in engines:
-            start = time.perf_counter_ns()
-            result = _run_engine(engine, q, w, model, args.cap)
-            micros = (time.perf_counter_ns() - start) // 1000
-            rows.append((label, engine, max(micros, 1), result.term_count()))
-
+    var, values = _parse_sweep(args.sweep)
+    engines = _engines(args, ["closed-form", "closed-sum"], ["rho-ct"])
+    rows = list(_timed_runs(_jobs(args, var, values), engines, args.cap))
     print("query,engine,micros,terms")
-    for label, engine, micros, terms in rows:
-        print(f"{label},{engine},{micros},{terms}")
+    for label, results in rows:
+        for engine, (value, micros) in results.items():
+            print(f"{label},{engine},{max(micros, 1)},{value.term_count()}")
     return 0
 
 
 def _cmd_gf(args) -> int:
-    if args.weights:
-        with open(args.weights) as handle:
-            w = parse_weights(handle.read())
-    elif args.L is not None:
+    w = _weights_file(args)
+    if w is None:
+        if args.L is None:
+            raise ValueError("gf needs --weights or --L")
         w = _symbolic_weights(args.L)
-    else:
-        raise ValueError("gf needs --weights or --L")
     series = generating_function(args.y_start, args.y_end, w.strip_height,
                                  w, args.order)
     if args.format == "json":
         doc = {"var": "x", "order": series.truncation_order,
                "coefficients": {str(e): c.render()
                                 for e, c in sorted(series.coefficients().items())}}
-        print(_emit(doc, "json"))
+        print(json.dumps(doc, indent=2, sort_keys=True))
     elif args.format == "latex":
         parts = [f"({series.coefficient(e).latex()}) x^{{{e}}}"
                  for e in range(args.order + 1) if not series.coefficient(e).is_zero]
@@ -518,55 +363,54 @@ def _cmd_gf(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_FLAGS = {
+    "--t": dict(type=int, help="path length (or maximum)"),
+    "--L": dict(type=int, help="strip height"),
+    "--y-start": dict(type=int, default=0),
+    "--y-end": dict(type=int, default=0),
+    "--weights": dict(help="weights JSON file"),
+    "--model": dict(choices=tuple(_MODELS)),
+    "--param": dict(action="append", metavar="KEY=VALUE",
+                    help="model parameter (repeatable)"),
+    "--engines": dict(help="comma separated engine list"),
+    "--format": dict(choices=("plain", "json", "latex"), default="plain"),
+    "--cap": dict(type=int, default=18, help="brute force enumeration cap on t"),
+    "--order": dict(type=int, default=8, help="series truncation order"),
+    "--sweep": dict(required=True, metavar="VAR:LO:HI",
+                    help="sweep variable and range, e.g. t:1:10"),
+}
+
+# mode -> (handler, help, the flags it reads)
+_COMMANDS = {
+    "compute": (_cmd_compute, "one query, one engine",
+                "--t --L --y-start --y-end --weights --model --param --engines --format --cap"),
+    "crosscheck": (_cmd_crosscheck, "run several engines and compare",
+                   "--t --L --weights --model --param --engines --format --cap"),
+    "bench": (_cmd_bench, "time engines over a sweep, emit CSV",
+              "--t --L --y-start --y-end --weights --model --param --engines --cap --sweep"),
+    "gf": (_cmd_gf, "truncated generating function",
+           "--L --y-start --y-end --weights --format --order"),
+}
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused."""
     parser = argparse.ArgumentParser(
         prog="latpoly",
         description="Exact strip lattice path weight polynomials.")
     sub = parser.add_subparsers(dest="mode", required=True)
-
-    def common(p, with_order=False, with_sweep=False):
-        p.add_argument("--t", type=int, default=None, help="path length (or maximum)")
-        p.add_argument("--L", type=int, default=None, help="strip height")
-        p.add_argument("--y-start", type=int, default=0, dest="y_start")
-        p.add_argument("--y-end", type=int, default=0, dest="y_end")
-        p.add_argument("--weights", help="weights JSON file")
-        p.add_argument("--model", choices=("dmr", "four", "rogers"))
-        p.add_argument("--param", action="append", metavar="KEY=VALUE",
-                       help="model parameter (repeatable)")
-        p.add_argument("--engines", help="comma separated engine list")
-        p.add_argument("--format", choices=("plain", "json", "latex"),
-                       default="plain")
-        p.add_argument("--cap", type=int, default=18,
-                       help="brute force enumeration cap on t")
-        if with_order:
-            p.add_argument("--order", type=int, default=8,
-                           help="series truncation order")
-        if with_sweep:
-            p.add_argument("--sweep", required=True, metavar="VAR:LO:HI",
-                           help="sweep variable and range, e.g. t:1:10")
-
-    common(sub.add_parser("compute", help="one query, one engine"))
-    common(sub.add_parser("crosscheck", help="run several engines and compare"))
-    common(sub.add_parser("bench", help="time engines over a sweep, emit CSV"),
-           with_sweep=True)
-    common(sub.add_parser("gf", help="truncated generating function"),
-           with_order=True)
+    for mode, (_, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(mode, help=help_text)
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
-_COMMANDS = {
-    "compute": _cmd_compute,
-    "crosscheck": _cmd_crosscheck,
-    "bench": _cmd_bench,
-    "gf": _cmd_gf,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.mode](args)
+        return _COMMANDS[args.mode][0](args)
     except (LatPolyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, inf
 
 from .errors import GuardViolation, IndexOutOfRange, InsufficientWeights
 from .symbolic import (
@@ -70,7 +70,19 @@ def _check_guard(value, what: str) -> None:
 def _coerce_value(value) -> LaurentPolynomial:
     if isinstance(value, str):
         return sym(value)
-    return as_poly(value)
+    try:
+        return as_poly(value)
+    except TypeError:
+        raise ValueError("a weight must be an integer, a Fraction, a polynomial"
+                         f" or a symbol name, got {value!r}") from None
+
+
+def _check_count(value, name: str) -> None:
+    """Refuse a size parameter that is missing, not an integer or negative."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -78,14 +90,14 @@ class DmrParams:
     """Dyck paths of length 2r in a strip of height L >= 2, with the down
     weight at height 1 equal to kappa and at height L equal to omega
     (background b=0, lambda=1)."""
-    r: int
-    L: int
+    r: int = None
+    L: int = None
     kappa: LaurentPolynomial = field(default_factory=lambda: sym("kappa"))
     omega: LaurentPolynomial = field(default_factory=lambda: sym("omega"))
 
     def __post_init__(self):
-        if self.r < 0:
-            raise ValueError(f"half-length r must be nonnegative, got {self.r}")
+        _check_count(self.r, "half-length r")
+        _check_count(self.L, "strip height L")
         if self.L < 2:
             raise ValueError(
                 f"strip height must be at least 2 so the two decorated"
@@ -97,6 +109,12 @@ class DmrParams:
         return WeightSpec(self.L, 0, 1,
                           down={1: self.kappa - 1, self.L: self.omega - 1})
 
+    def closed_form(self) -> LaurentPolynomial:
+        return dmr_ct(self)
+
+    def closed_sum(self) -> LaurentPolynomial:
+        return dmr_sum(self)
+
     def _output_substitution(self) -> dict:
         return {"kappa_hat": self.kappa - 1, "omega_hat": self.omega - 1}
 
@@ -106,16 +124,16 @@ class FourWeightParams:
     """Dyck paths of length 2r in a strip of height L >= 4, with down
     weights kappa1, kappa2 at heights 1, 2 and omega2, omega1 at heights
     L-1, L (background b=0, lambda=1)."""
-    r: int
-    L: int
+    r: int = None
+    L: int = None
     kappa1: LaurentPolynomial = field(default_factory=lambda: sym("kappa_1"))
     kappa2: LaurentPolynomial = field(default_factory=lambda: sym("kappa_2"))
     omega1: LaurentPolynomial = field(default_factory=lambda: sym("omega_1"))
     omega2: LaurentPolynomial = field(default_factory=lambda: sym("omega_2"))
 
     def __post_init__(self):
-        if self.r < 0:
-            raise ValueError(f"half-length r must be nonnegative, got {self.r}")
+        _check_count(self.r, "half-length r")
+        _check_count(self.L, "strip height L")
         if self.L < 4:
             raise ValueError(
                 f"strip height must be at least 4 so the four decorated"
@@ -130,6 +148,12 @@ class FourWeightParams:
             self.L - 1: self.omega2 - 1,
             self.L: self.omega1 - 1,
         })
+
+    def closed_form(self) -> LaurentPolynomial:
+        return four_weight_ct(self)
+
+    def closed_sum(self) -> LaurentPolynomial:
+        return four_weight_sum(self)
 
     def _output_substitution(self) -> dict:
         return {
@@ -444,3 +468,38 @@ def rogers_weight_spec(L: int, kappas) -> WeightSpec:
     for i in range(1, min(len(kappas), L) + 1):
         down[i] = kappas[i - 1] - 1
     return WeightSpec(L, 0, 1, down=down)
+
+
+@dataclass(frozen=True)
+class RogersParams:
+    """Dyck paths of length 2n in a strip of height L (None or infinity for
+    the half plane), with down weight kappas[i-1] at height i (background
+    b=0, lambda=1).  Without kappas the weights are the symbols
+    kappa_1..kappa_min(n, L), worked out from n and L when they are used."""
+    n: int = None
+    L: int | None = None
+    kappas: tuple | None = None
+
+    def __post_init__(self):
+        _check_count(self.n, "half-length n")
+        if self.L == inf:
+            object.__setattr__(self, "L", None)
+        if self.L is not None:
+            _check_count(self.L, "strip height L")
+        if self.kappas is not None:
+            object.__setattr__(self, "kappas", tuple(_coerce_kappas(self.kappas)))
+
+    def _kappas(self) -> list:
+        if self.kappas is not None:
+            return list(self.kappas)
+        bound = self.n if self.L is None else min(self.n, self.L)
+        return [sym(f"kappa_{i}") for i in range(1, max(bound, 1) + 1)]
+
+    def weight_spec(self) -> WeightSpec:
+        # a length-2n path cannot rise above height n
+        return rogers_weight_spec(self.n if self.L is None else self.L, self._kappas())
+
+    def closed_form(self) -> LaurentPolynomial:
+        return rogers(self.n, self.L, self._kappas())
+
+    closed_sum = closed_form  # the nested sum is the only closed form

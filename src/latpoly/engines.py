@@ -360,7 +360,9 @@ def generating_function(y_start: int, y_end: int, L: int, w: WeightSpec,
     q = StripQuery(0, y_start, y_end, L)
     if L != w.strip_height:
         raise ValueError(f"argument L={L} != weights strip L={w.strip_height}")
-    product = _x_product(q, w, order)
+    # the numerator starts at x^(y_hi - y_lo), so this inversion order makes
+    # the product end at ``order``
+    product = _x_product(q, w, max(order - (q.y_hi - q.y_lo), 0))
     coeffs = {e: product.coefficient(e) for e in range(order + 1)}
     return TruncatedSeries("x", coeffs, order)
 

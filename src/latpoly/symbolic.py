@@ -335,52 +335,37 @@ class LaurentPolynomial:
     def render(self) -> str:
         """Canonical text form: terms by descending total degree, then
         descending lexicographic exponent vector over the sorted symbols."""
-        if not self._terms:
-            return "0"
-        pieces = []
-        for mono, coeff in self._sorted_terms():
-            factors = [(n if e == 1 else f"{n}^{e}") for n, e in mono]
-            mag = coeff if coeff > 0 else -coeff
-            if factors and mag == 1:
-                body = "*".join(factors)
-            elif factors:
-                body = "*".join([str(mag)] + factors)
-            else:
-                body = str(mag)
-            pieces.append(("-" if coeff < 0 else "+", body))
-        sign, body = pieces[0]
-        text = body if sign == "+" else f"-{body}"
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
-        return text
+        return self._format(lambda n, e: n if e == 1 else f"{n}^{e}", str, "*")
 
     def latex(self) -> str:
         """LaTeX rendering (presentation only, same term order as render)."""
-        if not self._terms:
-            return "0"
-        pieces = []
+        def factor(n, e):
+            base = _latex_symbol(n)
+            return base if e == 1 else f"{base}^{{{e}}}"
+
+        def magnitude(mag):
+            if mag.denominator != 1:
+                return f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
+            return str(int(mag))
+
+        return self._format(factor, magnitude, " ")
+
+    def _format(self, factor, magnitude, sep: str) -> str:
+        """The term loop of render and latex: each term is its sign, then its
+        magnitude (left out when it is 1 and the term has symbols) and its
+        factors joined by ``sep``."""
+        text = ""
         for mono, coeff in self._sorted_terms():
-            factors = []
-            for n, e in mono:
-                base = _latex_symbol(n)
-                factors.append(base if e == 1 else f"{base}^{{{e}}}")
             mag = coeff if coeff > 0 else -coeff
-            if isinstance(mag, Fraction) and mag.denominator != 1:
-                mag_tex = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
+            parts = [factor(n, e) for n, e in mono]
+            if mag != 1 or not parts:
+                parts.insert(0, magnitude(mag))
+            body = sep.join(parts)
+            if not text:
+                text = body if coeff > 0 else f"-{body}"
             else:
-                mag_tex = str(int(mag))
-            if factors and mag == 1:
-                body = " ".join(factors)
-            elif factors:
-                body = " ".join([mag_tex] + factors)
-            else:
-                body = mag_tex
-            pieces.append(("-" if coeff < 0 else "+", body))
-        sign, body = pieces[0]
-        text = body if sign == "+" else f"-{body}"
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
-        return text
+                text += f" {'-' if coeff < 0 else '+'} {body}"
+        return text or "0"
 
     def __str__(self):
         return self.render()
@@ -644,7 +629,10 @@ def _tokenize(text: str):
         if m.lastgroup == "float" or m.group("float"):
             raise ValueError(f"floating literal {m.group('float')!r} not allowed; use p/q")
         if m.group("number"):
-            tokens.append(("num", Fraction(m.group("number"))))
+            try:
+                tokens.append(("num", Fraction(m.group("number"))))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {m.group('number')!r}") from None
         elif m.group("name"):
             tokens.append(("name", m.group("name")))
         else:

@@ -5,11 +5,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from latpoly import SchemaError, as_poly, sym
-from latpoly.cli import main, parse_weights, weights_to_json
+from latpoly import (DmrParams, FourWeightParams, RogersParams, SchemaError,
+                     as_poly, sym)
+from latpoly.cli import _parser, main, parse_weights, weights_to_json
 
 DMR_JSON = json.dumps({
     "b": 0, "lambda": 1, "L": 2,
@@ -172,3 +175,103 @@ def test_missing_inputs_exit_2(capsys):
     assert code == 2 and "need" in err
     code, _, err = run_cli(["bench", "--sweep", "q:1:2", "--L", "1"], capsys)
     assert code == 2
+
+
+def _exit_code(args, capsys):
+    """main's exit code, counting an argparse refusal (SystemExit) too."""
+    try:
+        code = main(args)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+DMR_2_2 = ["compute", "--model", "dmr", "--param", "r=2", "--param", "L=2"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (DMR_2_2 + ["--param", "kappa=1/0"], "zero denominator"),
+    (DMR_2_2 + ["--param", "kappa=inf"], "weight must be"),
+    (["compute", "--model", "dmr", "--param", "r"], "KEY=VALUE"),
+    (["compute", "--model", "dmr", "--param", "r=3/2", "--param", "L=2"], "r must be an integer"),
+    (["compute", "--model", "dmr", "--param", "L=2"], "r must be an integer"),
+    (["compute", "--model", "four", "--param", "r=2"], "L must be an integer"),
+    (["crosscheck", "--model", "four", "--param", "r=2", "--param", "L=inf"],
+     "L must be an integer"),
+    (["compute", "--model", "rogers", "--param", "n=kappa"], "n must be an integer"),
+    (["bench", "--sweep", "L:1:2", "--model", "rogers"], "n must be an integer"),
+    (["crosscheck", "--L", "-1"], "nonnegative"),
+    (["crosscheck", "--weights", "w.json", "--L", "5"], "contradicts"),
+    (["bench", "--sweep", "t:1:2", "--weights", "w.json", "--L", "5"], "contradicts"),
+    (["gf", "--weights", "w.json", "--L", "5"], "contradicts"),
+    (["compute", "--weights", "zero.json"], "zero denominator"),
+])
+def test_invalid_input_one_line_error_exit_2(args, message, tmp_path, monkeypatch, capsys):
+    (tmp_path / "w.json").write_text(DMR_JSON)
+    (tmp_path / "zero.json").write_text(json.dumps(
+        {"b": 0, "lambda": 1, "L": 1, "down_decorations": {"1": "1/0"}}))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _exit_code(args, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("args", [
+    ["gf", "--L", "2", "--model", "dmr"],
+    ["gf", "--L", "2", "--t", "3"],
+    ["gf", "--L", "2", "--engines", "brute"],
+    ["gf", "--L", "2", "--cap", "4"],
+    ["gf", "--L", "2", "--param", "r=1"],
+    ["bench", "--sweep", "t:1:2", "--L", "1", "--format", "json"],
+    ["crosscheck", "--L", "1", "--y-start", "1"],
+    ["crosscheck", "--L", "1", "--y-end", "1"],
+])
+def test_flags_a_subcommand_does_not_read_are_refused(args, capsys):
+    code, out, err = _exit_code(args, capsys)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments" in err
+
+
+def test_params_classes_refuse_what_the_cli_refuses():
+    for make in (lambda: DmrParams(L=2), lambda: DmrParams(2.0, 2),
+                 lambda: FourWeightParams(2, True), lambda: RogersParams(),
+                 lambda: RogersParams(3, "2"), lambda: DmrParams(2, 2, kappa=None)):
+        with pytest.raises(ValueError):
+            make()
+
+
+def test_crosscheck_grid_heights(capsys):
+    code, out, _ = run_cli(["crosscheck", "--L", "0", "--t", "2"], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == "crosscheck: 3 queries, all agree"  # L = 0 only
+    code, out, _ = run_cli(["crosscheck", "--L", "0"], capsys)
+    assert out.splitlines()[-1] == "crosscheck: 7 queries, all agree"  # t <= 6
+
+
+def _readme_commands():
+    """(argv, expected output or None) of each README command line example."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith("latpoly "):
+            after = lines[i + 1] if i + 1 < len(lines) else ""
+            expected = after[2:] if after.startswith("# ") else None
+            yield shlex.split(line.split("  #")[0])[1:], expected
+
+
+def test_readme_command_lines_parse():
+    commands = list(_readme_commands())
+    assert len(commands) >= 7
+    for argv, _ in commands:
+        _parser().parse_args(argv)
+
+
+def test_readme_dmr_example_output(capsys):
+    [(argv, expected)] = [c for c in _readme_commands() if c[1] is not None]
+    assert argv == DMR_2_2
+    code, out, _ = run_cli(argv, capsys)
+    assert (code, out) == (0, expected + "\n")
+    assert expected == "kappa^2 + kappa*omega"

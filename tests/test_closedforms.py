@@ -222,3 +222,20 @@ def test_rogers_all_ones_gives_catalan():
         if n >= 1:  # brute force in the tallest strip a path can use
             bf = brute_force(StripQuery(2 * n, 0, 0, n), WeightSpec(n, 0, 1))
             assert value == bf
+
+
+def test_rogers_params_match_rogers_and_resolve_kappas_when_used():
+    from latpoly import RogersParams
+    k = [sym(f"kappa_{i}") for i in range(1, 5)]
+    for n, L in [(3, None), (3, 2), (4, 4), (0, None), (2, 0)]:
+        p = RogersParams(n, L)
+        used = k[:max(min(n, n if L is None else L), 1)]
+        assert p.closed_form() == p.closed_sum() == rogers(n, L, used)
+        assert p.weight_spec() == rogers_weight_spec(n if L is None else L, used)
+        q = StripQuery(2 * n, 0, 0, p.weight_spec().strip_height)
+        assert brute_force(q, p.weight_spec()) == p.closed_form()
+    assert RogersParams(3, float("inf")) == RogersParams(3)
+    given = RogersParams(2, kappas=["a", 3])
+    assert given.closed_form() == rogers(2, None, [sym("a"), 3])
+    for params in (DmrParams(3, 3, 2), FourWeightParams(2, 5)):
+        assert params.closed_form() == params.closed_sum()
