@@ -191,6 +191,13 @@ def _weights_file(args) -> WeightSpec | None:
 
 
 def _model_jobs(args, var, values):
+    # a model fixes its weights and query; crosscheck has no --y-start/--y-end
+    given = {"--weights": args.weights, "--L": args.L, "--t": args.t,
+             "--y-start": getattr(args, "y_start", 0) or None,
+             "--y-end": getattr(args, "y_end", 0) or None}
+    refused = [flag for flag, value in given.items() if value is not None]
+    if refused:
+        raise ValueError(f"--model takes no {', '.join(refused)}")
     cls = _MODELS[args.model]
     params = _model_params(args.model, args.param or [])
     half = fields(cls)[0].name
@@ -225,6 +232,8 @@ def _jobs(args, var=None, values=()):
     elif args.mode == "crosscheck":
         heights = [L] if fixed is not None else range((3 if L is None else L) + 1)
         t_max = 6 if args.t is None else args.t
+        if t_max < 0:
+            raise ValueError(f"--t must be nonnegative, got {t_max}")
         points = [(t, y0, y1, h) for h in heights for t in range(t_max + 1)
                   for y0 in range(h + 1) for y1 in range(h + 1)]
     elif var == "t":

@@ -23,12 +23,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import SizeLimit, TruncationInsufficient, ZeroLambda
+from .errors import SizeLimit, ZeroLambda
 from .symbolic import (
     LaurentPolynomial,
     ONE,
     TruncatedSeries,
     ZERO,
+    _inversion_order,
     as_poly,
     monomial,
     series_invert,
@@ -192,19 +193,11 @@ def _evaluate_signatures(cell: dict, L: int, w: WeightSpec) -> LaurentPolynomial
     bg_b, bg_l = w.background_b, w.background_lambda
     dec_a = sorted(w.across_heights)
     dec_d = sorted(w.down_heights)
-    # quick-reject mask: any across step at a height with rational weight 0
-    zero_mask = 0
-    for i in range(L + 1):
-        if i not in w.across_heights and bg_b == 0:
-            zero_mask |= _FIELD_MASK << (_FIELD_BITS * i)
-
     bg_across = frozenset(i for i in range(L + 1) if i not in w.across_heights)
     bg_down = frozenset(i for i in range(1, L + 1) if i not in w.down_heights)
 
     reduced: dict = {}
     for sig, count in cell.items():
-        if zero_mask & sig:
-            continue
         fields = []
         rest = sig
         while rest:
@@ -233,8 +226,6 @@ def _evaluate_signatures(cell: dict, L: int, w: WeightSpec) -> LaurentPolynomial
         n_bg_a, n_bg_d = key[n_dec], key[n_dec + 1]
         scalar = Fraction(count)
         if n_bg_a:
-            if bg_b == 0:
-                continue
             scalar *= bg_b ** n_bg_a
         if n_bg_d:
             scalar *= bg_l ** n_bg_d
@@ -323,11 +314,12 @@ def h_factor(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
     return out
 
 
-def _x_product(q: StripQuery, w: WeightSpec, order: int,
-               exponent: int | None = None) -> TruncatedSeries:
+def _x_product(q: StripQuery, w: WeightSpec, e: int,
+               whole: bool = False) -> TruncatedSeries:
     """x^(Y-Y') * recip(P_Y') * h * recip(P^(Y+1)_{L-Y}) / recip(P_{L+1})
-    as a series in x, the denominator inverted to ``order``: the whole
-    product, or only its x^exponent coefficient."""
+    as a series in x, the denominator inverted just far enough to read
+    x^e: the x^e coefficient alone, or with ``whole`` every coefficient up
+    to it."""
     lo, hi = q.y_lo, q.y_hi
     num = reciprocal(ortho_poly(lo, 0, w))
     num = num * h_factor(q, w)
@@ -335,7 +327,8 @@ def _x_product(q: StripQuery, w: WeightSpec, order: int,
     if hi - lo:
         num = num * monomial(1, x=hi - lo)
     den = reciprocal(ortho_poly(q.L + 1, 0, w))
-    return series_invert(den, order, var="x").mul_poly(num, exponent)
+    inv = series_invert(den, _inversion_order(num, den, e, "x"), var="x")
+    return inv.mul_poly(num, None if whole else e)
 
 
 def viennot_ct(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
@@ -349,7 +342,7 @@ def viennot_ct(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
     weights."""
     if q.L != w.strip_height:
         raise ValueError(f"query strip L={q.L} != weights strip L={w.strip_height}")
-    return _x_product(q, w, q.t, exponent=q.t).coefficient(q.t)
+    return _x_product(q, w, q.t).coefficient(q.t)
 
 
 def generating_function(y_start: int, y_end: int, L: int, w: WeightSpec,
@@ -360,9 +353,7 @@ def generating_function(y_start: int, y_end: int, L: int, w: WeightSpec,
     q = StripQuery(0, y_start, y_end, L)
     if L != w.strip_height:
         raise ValueError(f"argument L={L} != weights strip L={w.strip_height}")
-    # the numerator starts at x^(y_hi - y_lo), so this inversion order makes
-    # the product end at ``order``
-    product = _x_product(q, w, max(order - (q.y_hi - q.y_lo), 0))
+    product = _x_product(q, w, order, whole=True)
     coeffs = {e: product.coefficient(e) for e in range(order + 1)}
     return TruncatedSeries("x", coeffs, order)
 
@@ -373,45 +364,33 @@ def _kernel_power(b: Fraction, lam: Fraction, t: int) -> LaurentPolynomial:
 
 
 @lru_cache(maxsize=512)
-def _rho_denominator_inverse(w: WeightSpec, b: Fraction, lam: Fraction,
-                             order: int) -> TruncatedSeries:
-    den = to_laurent(ortho_poly(w.strip_height + 1, 0, w), b, lam)
+def _rho_denominator_inverse(den: LaurentPolynomial, order: int) -> TruncatedSeries:
     return series_invert(den, order, var="rho")
 
 
-def rho_ct(q: StripQuery, w: WeightSpec, b=None, lam=None) -> LaurentPolynomial:
+def rho_ct(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
     """Constant term in rho of
 
         (rho + b + lam/rho)^t * R_Y' * h * R^(Y+1)_{L-Y} / R_{L+1} * (lam/rho - rho)
 
-    where R is the recurrence polynomial after x -> rho + b + lam/rho.  The
-    backgrounds must be rational (the lowest coefficient of R_{L+1} is then
-    the unit lam^(L+1)); decorations may stay symbolic.  The denominator is
-    inverted to order t + L + 2 and the margin over the integrand's actual
-    rho support is checked at runtime rather than trusted."""
+    where R is the recurrence polynomial after x -> rho + b + lam/rho and
+    b, lam are the backgrounds of w.  They must be rational (the lowest
+    coefficient of R_{L+1} is then the unit lam^(L+1)); decorations may stay
+    symbolic.  The denominator is inverted just far enough to read the
+    constant term."""
     if q.L != w.strip_height:
         raise ValueError(f"query strip L={q.L} != weights strip L={w.strip_height}")
-    b = w.background_b if b is None else Fraction(b)
-    lam = w.background_lambda if lam is None else Fraction(lam)
-    if b != w.background_b or lam != w.background_lambda:
-        raise ValueError("explicit backgrounds must match the weight spec")
+    b, lam = w.background_b, w.background_lambda
     if lam == 0:
         raise ZeroLambda("rho constant-term engine needs a nonzero background lambda")
-    L, t = q.L, q.t
     lo, hi = q.y_lo, q.y_hi
-    num = _kernel_power(b, lam, t)
+    # never zero: each factor is a nonzero Laurent polynomial, since lam and
+    # every effective lambda in h are nonzero
+    num = _kernel_power(b, lam, q.t)
     num = num * to_laurent(ortho_poly(lo, 0, w), b, lam)
     num = num * h_factor(q, w)
-    num = num * to_laurent(ortho_poly(L - hi, hi + 1, w), b, lam)
+    num = num * to_laurent(ortho_poly(q.L - hi, hi + 1, w), b, lam)
     num = num * (monomial(lam, rho=-1) - sym("rho"))
-    if num.is_zero:
-        return ZERO
-    order = t + L + 2
-    # safety margin: the numerator support must sit strictly inside the
-    # inverted range, with one spare order
-    need = -(L + 1) - num.min_exponent("rho")
-    if order < need + 1:
-        raise TruncationInsufficient(
-            f"series order {order} does not cover the integrand support {need}")
-    inv = _rho_denominator_inverse(w, b, lam, order)
+    den = to_laurent(ortho_poly(q.L + 1, 0, w), b, lam)
+    inv = _rho_denominator_inverse(den, _inversion_order(num, den, 0, "rho"))
     return inv.mul_poly(num, exponent=0).constant_term()

@@ -89,9 +89,6 @@ class WeightSpec:
     def down_heights(self) -> frozenset:
         return frozenset(self.down_decorations)
 
-    def without_decorations(self) -> "WeightSpec":
-        return WeightSpec(self.strip_height, self.background_b, self.background_lambda)
-
     def shifted_down(self, j: int) -> "WeightSpec":
         """Move the strip and every decoration j heights down.
 

@@ -244,23 +244,14 @@ def _decompose_terms(k: int, j: int, w: WeightSpec) -> list:
     if not positions:
         return [(ONE, ((j, k),))]
     _, kind, c = positions[0]
-
-    def attach(coeff, left_order, sub_k, sub_j):
-        # left factor is decoration free by choice of the first position
-        left = ((j, left_order),) if left_order > 0 else ()
-        return [(coeff * sub_coeff, left + sub_factors)
-                for sub_coeff, sub_factors in _decompose_terms(sub_k, sub_j, w)]
-
+    cut = edge_cut if kind == "edge" else vertex_cut
     out = []
-    if kind == "edge":
-        out += attach(ONE, c, k - c, j + c)
-        out += attach(-w.effective_lambda(c + j), c - 1, k - c - 1, j + c + 1)
-    else:
-        out += attach(_X - w.effective_b(c + j), c, k - c - 1, j + c + 1)
-        if k - c - 2 >= 0:
-            out += attach(-w.effective_lambda(c + j + 1), c, k - c - 2, j + c + 2)
-        if c - 1 >= 0:
-            out += attach(-w.effective_lambda(c + j), c - 1, k - c - 1, j + c + 1)
+    for term in cut(k, j, c, w).terms:
+        # the left factor is decoration free by choice of the first position
+        left, (sub_j, sub_k) = term.factors
+        kept = (left,) if left[1] > 0 else ()
+        out += [(term.coefficient * sub_coeff, kept + sub_factors)
+                for sub_coeff, sub_factors in _decompose_terms(sub_k, sub_j, w)]
     return out
 
 

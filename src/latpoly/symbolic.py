@@ -124,10 +124,6 @@ class LaurentPolynomial:
     def term_count(self) -> int:
         return len(self._terms)
 
-    def total_degree(self) -> int:
-        """Largest sum of exponents over the terms (0 for the zero polynomial)."""
-        return max((sum(e for _, e in m) for m in self._terms), default=0)
-
     def min_exponent(self, var: str) -> int:
         if not self._terms:
             raise ValueError("zero polynomial has no extremal exponent")
@@ -137,9 +133,6 @@ class LaurentPolynomial:
         if not self._terms:
             raise ValueError("zero polynomial has no extremal exponent")
         return max(dict(m).get(var, 0) for m in self._terms)
-
-    def degree(self, var: str) -> int:
-        return self.max_exponent(var)
 
     def split(self, var: str) -> dict:
         """{exponent of var: its coefficient, a polynomial in the other
@@ -596,19 +589,23 @@ def series_invert(d, order: int, var: str = SERIES_VAR) -> TruncatedSeries:
     return TruncatedSeries(var, coeffs, order - m)
 
 
-def constant_term_ratio(num, den, var: str = SERIES_VAR,
-                        extra_order: int = 2) -> LaurentPolynomial:
-    """Constant term of num/den under the series expansion around the origin.
+def _inversion_order(num: LaurentPolynomial, den: LaurentPolynomial,
+                     exponent: int, var: str) -> int:
+    """Least order to which ``den`` is inverted so that the coefficient of
+    var**exponent of num/den can be read: ``series_invert(den, order, var)``
+    is trusted up to order - den's lowest exponent, and multiplying by
+    ``num`` (nonzero) shifts that by num's lowest exponent."""
+    return max(exponent + den.min_exponent(var) - num.min_exponent(var), 0)
 
-    The inversion order is derived from the exponent support of both
-    arguments; ``extra_order`` adds a safety margin beyond the exact need.
-    """
+
+def constant_term_ratio(num, den, var: str = SERIES_VAR) -> LaurentPolynomial:
+    """Constant term of num/den under the series expansion around the origin,
+    with den inverted just far enough to read it."""
     num = as_poly(num)
     den = as_poly(den)
     if num.is_zero:
         return ZERO
-    need = den.min_exponent(var) - num.min_exponent(var)
-    inv = series_invert(den, max(need, 0) + extra_order, var)
+    inv = series_invert(den, _inversion_order(num, den, 0, var), var)
     return inv.mul_poly(num, exponent=0).constant_term()
 
 

@@ -206,6 +206,14 @@ DMR_2_2 = ["compute", "--model", "dmr", "--param", "r=2", "--param", "L=2"]
     (["bench", "--sweep", "t:1:2", "--weights", "w.json", "--L", "5"], "contradicts"),
     (["gf", "--weights", "w.json", "--L", "5"], "contradicts"),
     (["compute", "--weights", "zero.json"], "zero denominator"),
+    (["crosscheck", "--t", "-1", "--L", "1"], "--t must be nonnegative"),
+    (DMR_2_2 + ["--weights", "w.json", "--L", "7", "--t", "3"],
+     "--model takes no --weights, --L, --t"),
+    (DMR_2_2 + ["--t", "0"], "--model takes no --t"),
+    (DMR_2_2 + ["--y-start", "1", "--y-end", "2"], "--model takes no --y-start, --y-end"),
+    (["crosscheck", "--model", "dmr", "--param", "r=1", "--L", "0"], "--model takes no --L"),
+    (["bench", "--sweep", "r:0:1", "--model", "dmr", "--param", "L=2", "--y-end", "1"],
+     "--model takes no --y-end"),
 ])
 def test_invalid_input_one_line_error_exit_2(args, message, tmp_path, monkeypatch, capsys):
     (tmp_path / "w.json").write_text(DMR_JSON)

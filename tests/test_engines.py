@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latpoly import (
     LatticePath,
@@ -25,7 +26,12 @@ from latpoly import (
     transfer_matrix,
     viennot_ct,
 )
-from util import random_weight_spec
+from util import (
+    BACKGROUND_B_POOL,
+    BACKGROUND_L_POOL,
+    RATIONAL_POOL,
+    random_weight_spec,
+)
 
 
 def _all_engine_values(q, w):
@@ -165,8 +171,6 @@ def test_viennot_ct_examples():
 def test_rho_ct_examples():
     dyck = WeightSpec(2, 0, 1)
     assert rho_ct(StripQuery(4, 0, 0, 2), dyck) == 2
-    with pytest.raises(ValueError):
-        rho_ct(StripQuery(1, 0, 0, 2), dyck, b=1)  # contradicts the weights
     degenerate = WeightSpec(0, 1, 0)  # L=0 tolerates a zero background lambda
     with pytest.raises(ZeroLambda):
         rho_ct(StripQuery(1, 0, 0, 0), degenerate)
@@ -238,3 +242,34 @@ def test_query_validation():
         StripQuery(0, 3, 0, 2)
     with pytest.raises(ValueError):
         brute_force(StripQuery(1, 0, 0, 2), WeightSpec(3, 0, 1))
+
+
+@st.composite
+def strip_queries(draw):
+    """A query with L <= 4, t <= 12 and any endpoints (so t = 0 and
+    t < |y1 - y0| occur) and its weights: rational backgrounds with a
+    nonzero lambda, plus up to three across and three down decorations,
+    each a rational or a symbol of its own."""
+    L = draw(st.integers(0, 4))
+    lam = draw(st.sampled_from(BACKGROUND_L_POOL))
+
+    def decorations(lo, kind):
+        out = {}
+        for h in draw(st.sets(st.integers(lo, L), max_size=3)) if lo <= L else ():
+            value = draw(st.sampled_from(RATIONAL_POOL + [sym(f"{kind}{h}")]))
+            # keep every effective lambda nonzero; a zero effective b may occur
+            out[h] = value + 1 if kind == "u" and value == -lam else value
+        return out
+
+    w = WeightSpec(L, draw(st.sampled_from(BACKGROUND_B_POOL)), lam,
+                   decorations(0, "a"), decorations(1, "u"))
+    heights = st.integers(0, L)
+    return StripQuery(draw(st.integers(0, 12)), draw(heights), draw(heights), L), w
+
+
+@settings(max_examples=200, deadline=None)
+@given(strip_queries())
+def test_five_way_agreement_random_queries(query):
+    q, w = query
+    values = _all_engine_values(q, w)
+    assert len(set(values.values())) == 1, {k: v.render() for k, v in values.items()}

@@ -26,7 +26,7 @@ from latpoly import (
     series_invert,
     sym,
 )
-from latpoly.symbolic import _inverse_state
+from latpoly.symbolic import _inverse_state, _inversion_order
 
 RHO = sym("rho")
 X = sym("x")
@@ -373,6 +373,19 @@ def test_mul_poly_single_coefficient(d, p, order):
             single.mul_poly(ONE)
     with pytest.raises(TruncationInsufficient):
         s.mul_poly(p, exponent=top + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_led(), polys().filter(lambda p: not p.is_zero), st.integers(-4, 6))
+def test_inversion_order_is_the_least_that_reads(d, p, e):
+    order = _inversion_order(p, d, e, "rho")
+    read = series_invert(d, order).mul_poly(p, exponent=e).coefficient(e)
+    assert read == series_invert(d, order + 4).mul_poly(p).coefficient(e)
+    if e == 0:
+        assert constant_term_ratio(p, d) == read
+    if order > 0:
+        with pytest.raises(TruncationInsufficient):
+            series_invert(d, order - 1).mul_poly(p, exponent=e)
 
 
 def test_series_invert_shared_across_threads():
