@@ -204,7 +204,10 @@ def _model_jobs(args, var, values):
     if var is not None:
         if var not in ("r", "n", "L"):
             raise ValueError(f"model bench sweeps r, n or L, not {var}")
-        points = [(var, "L" if var == "L" else half, v) for v in values]
+        key = "L" if var == "L" else half
+        if key in params:
+            raise ValueError(f"--sweep {var} takes no --param {key}")
+        points = [(var, key, v) for v in values]
     else:
         top = getattr(cls(**params), half)
         grid = range(top + 1) if args.mode == "crosscheck" else [top]
@@ -223,6 +226,8 @@ def _jobs(args, var=None, values=()):
     if args.model:
         yield from _model_jobs(args, var, values)
         return
+    if var in ("t", "L") and getattr(args, var) is not None:
+        raise ValueError(f"--sweep {var} takes no --{var}")
     fixed = _weights_file(args)
     L = fixed.strip_height if fixed is not None else args.L
     if L is None and args.mode != "crosscheck" and var != "L":
@@ -262,7 +267,6 @@ _ENGINES = {
     "closed-form": lambda q, w, model, cap: model.closed_form(),
     "closed-sum": lambda q, w, model, cap: model.closed_sum(),
 }
-ENGINE_NAMES = tuple(_ENGINES)
 GENERIC_ENGINES = ("brute", "tmatrix", "viennot-ct", "rho-ct")
 
 
@@ -304,6 +308,8 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
+    if args.format == "latex":
+        raise ValueError("crosscheck prints plain or json, not latex")
     engines = _engines(args, ["brute", "closed-form", "closed-sum"], GENERIC_ENGINES)
     report = []
     for label, results in _timed_runs(_jobs(args), engines, args.cap):
@@ -366,7 +372,7 @@ def _cmd_gf(args) -> int:
     elif args.format == "latex":
         parts = [f"({series.coefficient(e).latex()}) x^{{{e}}}"
                  for e in range(args.order + 1) if not series.coefficient(e).is_zero]
-        print(" + ".join(parts) + f" + O(x^{{{args.order + 1}}})")
+        print((" + ".join(parts) or "0") + f" + O(x^{{{args.order + 1}}})")
     else:
         print(series.render())
     return 0

@@ -146,15 +146,11 @@ def enumerate_paths(t: int, y_start: int, L: int, y_end: int | None = None):
     yield from walk(y_start, t)
 
 
-#: queries below this depth share one cached enumeration per start height
-_SIG_GRAIN = 10
-
-
 @lru_cache(maxsize=32)
-def _signature_cells(L: int, y_start: int, t_max: int, zero_across: frozenset):
-    """Packed weight signatures of every path of length <= t_max from y_start.
+def _signature_cells(L: int, y_start: int, t: int, zero_across: frozenset):
+    """Packed weight signatures of every length-t path from y_start.
 
-    Returns {(t, y_end): {packed signature: path count}}.  The signature
+    Returns {y_end: {packed signature: path count}}.  The signature
     records, per height, how many across steps and down steps the path
     used; together with unit up weights it determines the path weight.
     Pure depth-first enumeration, no recurrences; the only pruning is the
@@ -165,21 +161,19 @@ def _signature_cells(L: int, y_start: int, t_max: int, zero_across: frozenset):
                   for i in range(L + 1)]
     down_bit = [None] + [1 << (_FIELD_BITS * (L + i)) for i in range(1, L + 1)]
     cells: dict = {}
-    stack = [(y_start, 0, 0)]
+    stack = [(y_start, t, 0)]
     while stack:
-        y, t, sig = stack.pop()
-        cell = cells.get((t, y))
-        if cell is None:
-            cell = cells[(t, y)] = {}
-        cell[sig] = cell.get(sig, 0) + 1
-        if t == t_max:
+        y, remaining, sig = stack.pop()
+        if not remaining:
+            cell = cells.setdefault(y, {})
+            cell[sig] = cell.get(sig, 0) + 1
             continue
         if across_bit[y] is not None:
-            stack.append((y, t + 1, sig + across_bit[y]))
+            stack.append((y, remaining - 1, sig + across_bit[y]))
         if y < L:
-            stack.append((y + 1, t + 1, sig))
+            stack.append((y + 1, remaining - 1, sig))
         if y > 0:
-            stack.append((y - 1, t + 1, sig + down_bit[y]))
+            stack.append((y - 1, remaining - 1, sig + down_bit[y]))
     return cells
 
 
@@ -189,53 +183,33 @@ def _zero_across_heights(w: WeightSpec) -> frozenset:
 
 
 def _evaluate_signatures(cell: dict, L: int, w: WeightSpec) -> LaurentPolynomial:
-    """Sum of count * product-of-weight-powers over a signature cell."""
-    bg_b, bg_l = w.background_b, w.background_lambda
-    dec_a = sorted(w.across_heights)
-    dec_d = sorted(w.down_heights)
-    bg_across = frozenset(i for i in range(L + 1) if i not in w.across_heights)
-    bg_down = frozenset(i for i in range(1, L + 1) if i not in w.down_heights)
+    """Sum of count * product-of-weight-powers over a signature cell.
 
-    reduced: dict = {}
+    Packed field i counts steps of weight b_i for i <= L and lambda_(i-L)
+    above; fields of equal weight add their counts into one exponent."""
+    weights = ([w.effective_b(i) for i in range(L + 1)]
+               + [w.effective_lambda(i) for i in range(1, L + 1)])
+    distinct = list(dict.fromkeys(weights))
+    slots = [distinct.index(v) for v in weights]
+
+    grouped: dict = {}
     for sig, count in cell.items():
-        fields = []
-        rest = sig
-        while rest:
-            fields.append(rest & _FIELD_MASK)
-            rest >>= _FIELD_BITS
-        fields.extend([0] * (2 * L + 1 - len(fields)))
-        n_bg_a = sum(fields[i] for i in bg_across)
-        n_bg_d = sum(fields[L + i] for i in bg_down)
-        key = tuple([fields[h] for h in dec_a]
-                    + [fields[L + h] for h in dec_d]
-                    + [n_bg_a, n_bg_d])
-        reduced[key] = reduced.get(key, 0) + count
+        exponents = [0] * len(distinct)
+        for slot in slots:
+            exponents[slot] += sig & _FIELD_MASK
+            sig >>= _FIELD_BITS
+        key = tuple(exponents)
+        grouped[key] = grouped.get(key, 0) + count
 
-    power_cache: dict = {}
-
-    def dec_power(kind: str, h: int, e: int) -> LaurentPolynomial:
-        ck = (kind, h, e)
-        if ck not in power_cache:
-            base = w.effective_b(h) if kind == "a" else w.effective_lambda(h)
-            power_cache[ck] = base ** e
-        return power_cache[ck]
-
-    n_dec = len(dec_a) + len(dec_d)
+    powers: dict = {}
     acc: dict = {}
-    for key, count in reduced.items():
-        n_bg_a, n_bg_d = key[n_dec], key[n_dec + 1]
-        scalar = Fraction(count)
-        if n_bg_a:
-            scalar *= bg_b ** n_bg_a
-        if n_bg_d:
-            scalar *= bg_l ** n_bg_d
-        piece = as_poly(scalar)
-        for idx, h in enumerate(dec_a):
-            if key[idx]:
-                piece = piece * dec_power("a", h, key[idx])
-        for idx, h in enumerate(dec_d):
-            if key[len(dec_a) + idx]:
-                piece = piece * dec_power("d", h, key[len(dec_a) + idx])
+    for exponents, count in grouped.items():
+        piece = as_poly(count)
+        for j, e in enumerate(exponents):
+            if e:
+                if (j, e) not in powers:
+                    powers[j, e] = distinct[j] ** e
+                piece = piece * powers[j, e]
         for mono, coeff in piece.terms().items():
             v = acc.get(mono, 0) + coeff
             if v:
@@ -248,22 +222,19 @@ def _evaluate_signatures(cell: dict, L: int, w: WeightSpec) -> LaurentPolynomial
 def brute_force(q: StripQuery, w: WeightSpec, cap: int = DEFAULT_BRUTE_CAP) -> LaurentPolynomial:
     """Ground truth: exact sum of path_weight over every valid path.
 
-    Depth-first enumeration with strip pruning; each path contributes its
-    per-height step-usage signature, and signatures are evaluated against
-    the weights afterwards (identical weight products are grouped, nothing
-    else is shared between paths)."""
+    Depth-first enumeration of exactly the length-t paths with strip
+    pruning; each path contributes its per-height step-usage signature, and
+    signatures are evaluated against the effective weights afterwards
+    (identical weight products are grouped, nothing else is shared between
+    paths)."""
     if q.t > cap:
         raise SizeLimit(f"t={q.t} exceeds the brute-force cap {cap}")
     if q.t > _FIELD_MAX:
         raise SizeLimit(f"t={q.t} exceeds the signature field width {_FIELD_MAX}")
     if q.L != w.strip_height:
         raise ValueError(f"query strip L={q.L} != weights strip L={w.strip_height}")
-    cells = _signature_cells(q.L, q.y_start, max(q.t, _SIG_GRAIN),
-                             _zero_across_heights(w))
-    cell = cells.get((q.t, q.y_end))
-    if not cell:
-        return ZERO
-    return _evaluate_signatures(cell, q.L, w)
+    cells = _signature_cells(q.L, q.y_start, q.t, _zero_across_heights(w))
+    return _evaluate_signatures(cells.get(q.y_end, {}), q.L, w)
 
 
 def jacobi_matrix(L: int, w: WeightSpec) -> list:

@@ -101,12 +101,12 @@ class WeightSpec:
                           self.background_lambda, across, down)
 
     @classmethod
-    def generic(cls, L: int, b_prefix: str = "b", lam_prefix: str = "lambda") -> "WeightSpec":
+    def generic(cls, L: int) -> "WeightSpec":
         """Fully symbolic weights: b_i, lambda_i free symbols at every height."""
         return cls(
             L, 0, 0,
-            across={i: sym(f"{b_prefix}{i}") for i in range(L + 1)},
-            down={i: sym(f"{lam_prefix}{i}") for i in range(1, L + 1)},
+            across={i: sym(f"b{i}") for i in range(L + 1)},
+            down={i: sym(f"lambda{i}") for i in range(1, L + 1)},
         )
 
     def __eq__(self, other):

@@ -112,6 +112,12 @@ def test_gf_plain_and_json(tmp_path, capsys):
     assert doc["coefficients"]["4"] == "kappa^2 + kappa*omega"
 
 
+def test_gf_latex_zero_series(capsys):
+    code, out, _ = run_cli(["gf", "--L", "3", "--y-end", "3", "--order", "2",
+                            "--format", "latex"], capsys)
+    assert (code, out) == (0, "0 + O(x^{3})\n")
+
+
 def test_bench_csv(capsys):
     code, out, _ = run_cli(["bench", "--sweep", "t:1:4", "--L", "2",
                             "--engines", "rho-ct,tmatrix"], capsys)
@@ -214,6 +220,16 @@ DMR_2_2 = ["compute", "--model", "dmr", "--param", "r=2", "--param", "L=2"]
     (["crosscheck", "--model", "dmr", "--param", "r=1", "--L", "0"], "--model takes no --L"),
     (["bench", "--sweep", "r:0:1", "--model", "dmr", "--param", "L=2", "--y-end", "1"],
      "--model takes no --y-end"),
+    (["bench", "--sweep", "t:1:2", "--L", "1", "--t", "9"], "--sweep t takes no --t"),
+    (["bench", "--sweep", "t:1:2", "--weights", "w.json", "--t", "3"], "--sweep t takes no --t"),
+    (["bench", "--sweep", "L:1:2", "--L", "7"], "--sweep L takes no --L"),
+    (["bench", "--sweep", "r:0:1", "--model", "dmr", "--param", "L=2", "--param", "r=9"],
+     "--sweep r takes no --param r"),
+    (["bench", "--sweep", "L:2:3", "--model", "dmr", "--param", "r=1", "--param", "L=2"],
+     "--sweep L takes no --param L"),
+    (["bench", "--sweep", "r:1:2", "--model", "rogers", "--param", "n=3"],
+     "--sweep r takes no --param n"),
+    (["crosscheck", "--L", "1", "--t", "1", "--format", "latex"], "not latex"),
 ])
 def test_invalid_input_one_line_error_exit_2(args, message, tmp_path, monkeypatch, capsys):
     (tmp_path / "w.json").write_text(DMR_JSON)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -101,6 +102,28 @@ def test_brute_force_matches_path_enumeration():
         for p in enumerate_paths(t, y0, L, y1):
             direct = direct + path_weight(p, w)
         assert brute_force(StripQuery(t, y0, y1, L), w) == direct
+
+
+def test_brute_force_groups_equal_weights():
+    # kappa decorates across heights 0 and 2 and down height 1, so
+    # b_0 = b_2 = lambda_1, and the rational decoration -1 makes b_1 equal
+    # the background lambda_2: brute force gives equal weights one exponent.
+    # Summing path_weight is slow, so past t = 8 the transfer matrix alone
+    # is the reference.
+    kappa = sym("kappa")
+    w = WeightSpec(2, 2, 1, across={0: kappa, 1: -1, 2: kappa}, down={1: kappa + 1})
+    assert w.effective_b(0) == w.effective_b(2) == w.effective_lambda(1)
+    assert w.effective_b(1) == w.effective_lambda(2) == ONE
+    for t in range(15):
+        for y0 in range(3):
+            for y1 in range(3):
+                q = StripQuery(t, y0, y1, 2)
+                value = brute_force(q, w)
+                assert value == transfer_matrix(q, w), q
+                if t <= 8:
+                    paths = enumerate_paths(t, y0, 2, y1)
+                    direct = Counter(path_weight(p, w) for p in paths)
+                    assert value == sum((c * v for v, c in direct.items()), ZERO), q
 
 
 def test_brute_force_cap():
