@@ -27,9 +27,7 @@ from .symbolic import (
     TruncatedSeries,
     ZERO,
     as_poly,
-    const,
     constant_term_ratio,
-    constant_term_rho,
     monomial,
     parse_polynomial,
     series_invert,

@@ -369,12 +369,8 @@ def _cmd_gf(args) -> int:
                "coefficients": {str(e): c.render()
                                 for e, c in sorted(series.coefficients().items())}}
         print(json.dumps(doc, indent=2, sort_keys=True))
-    elif args.format == "latex":
-        parts = [f"({series.coefficient(e).latex()}) x^{{{e}}}"
-                 for e in range(args.order + 1) if not series.coefficient(e).is_zero]
-        print((" + ".join(parts) or "0") + f" + O(x^{{{args.order + 1}}})")
     else:
-        print(series.render())
+        print(series.latex() if args.format == "latex" else series.render())
     return 0
 
 

@@ -183,7 +183,7 @@ def dmr_ct(p: DmrParams) -> LaurentPolynomial:
     kernel = (_RHO + monomial(1, rho=-1)) ** (2 * r)
     num = kernel * (1 - rho2) * (a * monomial(1, rho=L) - b * monomial(1, rho=-L))
     den = a * c * monomial(1, rho=L) - b * d * monomial(1, rho=-L)
-    ct = constant_term_ratio(num, den, var="rho")
+    ct = constant_term_ratio(num, den)
     return ct.substitute(p._output_substitution())
 
 
@@ -269,7 +269,7 @@ def four_weight_ct(p: FourWeightParams) -> LaurentPolynomial:
     num = kernel * (a * b * monomial(1, rho=L) - a_bar * b_bar * monomial(1, rho=-L))
     num = num * (inv1 - rho1)
     den = c * b * monomial(1, rho=L) - c_bar * b_bar * monomial(1, rho=-L)
-    ct = constant_term_ratio(num, den, var="rho")
+    ct = constant_term_ratio(num, den)
     return ct.substitute(p._output_substitution())
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import SizeLimit, ZeroLambda
+from .errors import SizeLimit
 from .symbolic import (
     LaurentPolynomial,
     ONE,
@@ -285,30 +285,35 @@ def h_factor(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
     return out
 
 
+def _ratio(q: StripQuery, w: WeightSpec, f) -> tuple:
+    """Numerator and denominator of Viennot's ratio
+
+        P_Y' * h * P^(Y+1)_{L-Y} / P_{L+1}
+
+    with every recurrence polynomial P mapped by ``f`` into the ring of the
+    engine, where Y' and Y are the lower and upper of the two boundary
+    heights and h is :func:`h_factor`."""
+    num = f(ortho_poly(q.y_lo, 0, w)) * h_factor(q, w)
+    num = num * f(ortho_poly(q.L - q.y_hi, q.y_hi + 1, w))
+    return num, f(ortho_poly(q.L + 1, 0, w))
+
+
 def _x_product(q: StripQuery, w: WeightSpec, e: int,
                whole: bool = False) -> TruncatedSeries:
-    """x^(Y-Y') * recip(P_Y') * h * recip(P^(Y+1)_{L-Y}) / recip(P_{L+1})
-    as a series in x, the denominator inverted just far enough to read
-    x^e: the x^e coefficient alone, or with ``whole`` every coefficient up
-    to it."""
-    lo, hi = q.y_lo, q.y_hi
-    num = reciprocal(ortho_poly(lo, 0, w))
-    num = num * h_factor(q, w)
-    num = num * reciprocal(ortho_poly(q.L - hi, hi + 1, w))
-    if hi - lo:
-        num = num * monomial(1, x=hi - lo)
-    den = reciprocal(ortho_poly(q.L + 1, 0, w))
+    """x^(Y-Y') times the ratio under ``reciprocal``, as a series in x, the
+    denominator inverted just far enough to read x^e: the x^e coefficient
+    alone, or with ``whole`` every coefficient up to it."""
+    num, den = _ratio(q, w, reciprocal)
+    if q.y_hi - q.y_lo:
+        num = num * monomial(1, x=q.y_hi - q.y_lo)
     inv = series_invert(den, _inversion_order(num, den, e, "x"), var="x")
     return inv.mul_poly(num, None if whole else e)
 
 
 def viennot_ct(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
-    """Coefficient of x^t in the rational generating function
-
-        x^(Y-Y') * recip(P_Y') * h * recip(P^(Y+1)_{L-Y}) / recip(P_{L+1})
-
-    where Y' and Y are the lower and upper of the two boundary heights.
-    The denominator has constant coefficient 1 (reciprocal of a monic
+    """Coefficient of x^t in the rational generating function x^(Y-Y')
+    times Viennot's ratio (see ``_ratio``) of reciprocal polynomials.  The
+    denominator has constant coefficient 1 (reciprocal of a monic
     polynomial), so the series inversion is valid with fully symbolic
     weights."""
     if q.L != w.strip_height:
@@ -342,26 +347,20 @@ def _rho_denominator_inverse(den: LaurentPolynomial, order: int) -> TruncatedSer
 def rho_ct(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
     """Constant term in rho of
 
-        (rho + b + lam/rho)^t * R_Y' * h * R^(Y+1)_{L-Y} / R_{L+1} * (lam/rho - rho)
+        (rho + b + lam/rho)^t * (lam/rho - rho) * ratio
 
-    where R is the recurrence polynomial after x -> rho + b + lam/rho and
-    b, lam are the backgrounds of w.  They must be rational (the lowest
-    coefficient of R_{L+1} is then the unit lam^(L+1)); decorations may stay
-    symbolic.  The denominator is inverted just far enough to read the
-    constant term."""
+    where ratio is Viennot's ratio (see ``_ratio``) after the change of
+    variable x -> rho + b + lam/rho, and b, lam are the backgrounds of w.
+    They must be rational (the lowest coefficient of P_{L+1} is then the
+    unit lam^(L+1)); decorations may stay symbolic.  The t-dependent kernel
+    is multiplied in last, and the denominator is inverted just far enough
+    to read the constant term."""
     if q.L != w.strip_height:
         raise ValueError(f"query strip L={q.L} != weights strip L={w.strip_height}")
     b, lam = w.background_b, w.background_lambda
-    if lam == 0:
-        raise ZeroLambda("rho constant-term engine needs a nonzero background lambda")
-    lo, hi = q.y_lo, q.y_hi
     # never zero: each factor is a nonzero Laurent polynomial, since lam and
-    # every effective lambda in h are nonzero
-    num = _kernel_power(b, lam, q.t)
-    num = num * to_laurent(ortho_poly(lo, 0, w), b, lam)
-    num = num * h_factor(q, w)
-    num = num * to_laurent(ortho_poly(q.L - hi, hi + 1, w), b, lam)
-    num = num * (monomial(lam, rho=-1) - sym("rho"))
-    den = to_laurent(ortho_poly(q.L + 1, 0, w), b, lam)
+    # every effective lambda in h are nonzero (to_laurent refuses lam = 0)
+    num, den = _ratio(q, w, lambda p: to_laurent(p, b, lam))
+    num = num * ((monomial(lam, rho=-1) - sym("rho")) * _kernel_power(b, lam, q.t))
     inv = _rho_denominator_inverse(den, _inversion_order(num, den, 0, "rho"))
     return inv.mul_poly(num, exponent=0).constant_term()

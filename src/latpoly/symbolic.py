@@ -63,7 +63,7 @@ def _mono_mul(m1, m2):
 class LaurentPolynomial:
     """Immutable exact polynomial, Laurent in ``rho`` only.
 
-    Build values with :func:`sym`, :func:`const` and ordinary arithmetic;
+    Build values with :func:`sym`, :func:`monomial` and ordinary arithmetic;
     the class overloads +, -, * and ** (nonnegative integer powers), and
     mixes freely with int and Fraction operands.
     """
@@ -403,20 +403,9 @@ def sym(name: str) -> LaurentPolynomial:
     return LaurentPolynomial._raw({((name, 1),): 1})
 
 
-def const(value) -> LaurentPolynomial:
-    return as_poly(_coerce_coeff(value))
-
-
 def monomial(coeff, **exponents) -> LaurentPolynomial:
     """Single-term polynomial, e.g. monomial(3, rho=-2, x=1)."""
     return LaurentPolynomial({tuple(exponents.items()): _coerce_coeff(coeff)})
-
-
-def constant_term_rho(value) -> LaurentPolynomial:
-    """Coefficient of rho**0 of a polynomial or truncated series."""
-    if isinstance(value, TruncatedSeries):
-        return value.constant_term()
-    return as_poly(value).constant_term(SERIES_VAR)
 
 
 class TruncatedSeries:
@@ -515,24 +504,33 @@ class TruncatedSeries:
                 and self._coeffs == other._coeffs)
 
     def render(self) -> str:
-        if not self._coeffs:
-            body = "0"
-        else:
-            parts = []
-            for e in sorted(self._coeffs):
-                c = self._coeffs[e]
-                if e == 0:
-                    parts.append(c.render())
-                    continue
-                power = self.var if e == 1 else f"{self.var}^{e}"
-                if c == ONE:
-                    parts.append(power)
-                elif c.term_count() == 1:
-                    parts.append(f"{c.render()}*{power}")
-                else:
-                    parts.append(f"({c.render()})*{power}")
-            body = " + ".join(parts)
-        return f"{body} + O({self.var}^{self.truncation_order + 1})"
+        return self._format(LaurentPolynomial.render,
+                            lambda e: f"{self.var}^{e}", "*")
+
+    def latex(self) -> str:
+        """LaTeX rendering (presentation only, same term order as render)."""
+        return self._format(LaurentPolynomial.latex,
+                            lambda e: f"{self.var}^{{{e}}}", " ")
+
+    def _format(self, coeff_text, power, sep: str) -> str:
+        """The term loop of render and latex: coefficients by ascending
+        exponent, each joined to its power by ``sep`` (bare when it is 1,
+        parenthesized when it has several terms), then the order term."""
+        parts = []
+        for e in sorted(self._coeffs):
+            c = self._coeffs[e]
+            if e == 0:
+                parts.append(coeff_text(c))
+                continue
+            p = self.var if e == 1 else power(e)
+            if c == ONE:
+                parts.append(p)
+            elif c.term_count() == 1:
+                parts.append(f"{coeff_text(c)}{sep}{p}")
+            else:
+                parts.append(f"({coeff_text(c)}){sep}{p}")
+        body = " + ".join(parts) or "0"
+        return f"{body} + O({power(self.truncation_order + 1)})"
 
     def __str__(self):
         return self.render()
@@ -598,14 +596,14 @@ def _inversion_order(num: LaurentPolynomial, den: LaurentPolynomial,
     return max(exponent + den.min_exponent(var) - num.min_exponent(var), 0)
 
 
-def constant_term_ratio(num, den, var: str = SERIES_VAR) -> LaurentPolynomial:
-    """Constant term of num/den under the series expansion around the origin,
-    with den inverted just far enough to read it."""
+def constant_term_ratio(num, den) -> LaurentPolynomial:
+    """Constant term in rho of num/den under the series expansion around the
+    origin, with den inverted just far enough to read it."""
     num = as_poly(num)
     den = as_poly(den)
     if num.is_zero:
         return ZERO
-    inv = series_invert(den, _inversion_order(num, den, 0, var), var)
+    inv = series_invert(den, _inversion_order(num, den, 0, SERIES_VAR))
     return inv.mul_poly(num, exponent=0).constant_term()
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -197,6 +198,17 @@ def test_rho_ct_examples():
     degenerate = WeightSpec(0, 1, 0)  # L=0 tolerates a zero background lambda
     with pytest.raises(ZeroLambda):
         rho_ct(StripQuery(1, 0, 0, 0), degenerate)
+
+
+def test_rho_ct_deep_t_matches_transfer_matrix():
+    beta, kappa = sym("beta"), sym("kappa")
+    for L in (1, 2, 3):
+        for b, lam in ((0, 1), (1, 2), (Fraction(-1, 2), 3)):
+            w = WeightSpec(L, b, lam, across={0: beta}, down={L: kappa})
+            for y0, y1 in ((0, 0), (0, L), (L, 0)):
+                for t in (20, 30):
+                    q = StripQuery(t, y0, y1, L)
+                    assert rho_ct(q, w) == transfer_matrix(q, w), q.label()
 
 
 def test_generating_function_examples():

@@ -20,7 +20,6 @@ from latpoly import (
     ZERO,
     as_poly,
     constant_term_ratio,
-    constant_term_rho,
     monomial,
     parse_polynomial,
     series_invert,
@@ -108,10 +107,10 @@ def test_negative_power_rejected():
 
 def test_constant_term_examples():
     p = (RHO + 2 + RHO_INV) ** 2
-    assert constant_term_rho(p) == 6
-    assert constant_term_rho(RHO + RHO_INV) == ZERO
+    assert p.constant_term() == 6
+    assert (RHO + RHO_INV).constant_term() == ZERO
     kappa, omega = sym("kappa"), sym("omega")
-    assert constant_term_rho(kappa + omega * RHO ** 2) == kappa
+    assert (kappa + omega * RHO ** 2).constant_term() == kappa
 
 
 def test_constant_term_convolution_property():
@@ -122,7 +121,7 @@ def test_constant_term_convolution_property():
     p = sum((monomial(c, rho=e) for e, c in p_dict.items()), ZERO)
     q = sum((monomial(c, rho=e) for e, c in q_dict.items()), ZERO)
     expected = sum(p_dict[e] * q_dict[-e] for e in p_dict if -e in q_dict)
-    assert constant_term_rho(p * q) == expected
+    assert (p * q).constant_term() == expected
 
 
 # -- series inversion ---------------------------------------------------------
@@ -243,6 +242,15 @@ def test_latex():
     assert (kappa ** 2 + 1).latex() == "\\kappa^{2} + 1"
     assert (Fraction(1, 2) * sym("x")).latex() == "\\frac{1}{2} x"
     assert sym("kappa_1").latex() == "\\kappa_{1}"
+
+
+def test_series_latex_follows_render_layout():
+    kappa = sym("kappa")
+    s = TruncatedSeries("x", {0: 1, 1: -kappa, 2: kappa ** 2 + 1, 3: 1}, 4)
+    assert s.render() == "1 + -kappa*x + (kappa^2 + 1)*x^2 + x^3 + O(x^5)"
+    assert s.latex() == ("1 + -\\kappa x + (\\kappa^{2} + 1) x^{2} + x^{3}"
+                         " + O(x^{5})")
+    assert TruncatedSeries("x", {}, 0).latex() == "0 + O(x^{1})"
 
 
 def test_parse_polynomial():
