@@ -60,7 +60,6 @@ from .engines import (
     enumerate_paths,
     generating_function,
     h_factor,
-    jacobi_matrix,
     path_weight,
     rho_ct,
     transfer_matrix,

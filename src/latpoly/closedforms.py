@@ -282,14 +282,6 @@ def _inner_triple(u: int, r: int) -> LaurentPolynomial:
     return _KH2 * (hi - mid) + (lo - mid)
 
 
-def _inner_triple_rev(u: int, r: int) -> LaurentPolynomial:
-    """kh2 * C(2r, u-1) - (kh2 + 1) * C(2r, u) + C(2r, u+1)."""
-    lo = binom(2 * r, u - 1)
-    mid = binom(2 * r, u)
-    hi = binom(2 * r, u + 1)
-    return _KH2 * (lo - mid) + (hi - mid)
-
-
 def four_weight_sum(p: FourWeightParams) -> LaurentPolynomial:
     """Four-wall weight polynomial as the 9-fold binomial sum.
 
@@ -346,7 +338,7 @@ def four_weight_sum(p: FourWeightParams) -> LaurentPolynomial:
                                     for j2 in range(0, v2 + 1):
                                         u = u1 + j1 + j2
                                         piece1 = _inner_triple(u, r)
-                                        piece2 = _inner_triple_rev(u, r)
+                                        piece2 = _inner_triple(2 * r - 1 - u, r)
                                         if piece1.is_zero and piece2.is_zero:
                                             continue
                                         pref = base * bj1 * binom(v2, j2) * b_v2

@@ -55,6 +55,10 @@ class StripQuery:
     L: int
 
     def __post_init__(self):
+        for name in ("t", "y_start", "y_end", "L"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.t < 0:
             raise ValueError(f"path length must be nonnegative, got {self.t}")
         if self.L < 0:
@@ -237,21 +241,6 @@ def brute_force(q: StripQuery, w: WeightSpec, cap: int = DEFAULT_BRUTE_CAP) -> L
     return _evaluate_signatures(cells.get(q.y_end, {}), q.L, w)
 
 
-def jacobi_matrix(L: int, w: WeightSpec) -> list:
-    """The (L+1) x (L+1) tridiagonal transfer matrix: row y lists the weights
-    of steps leaving height y (superdiagonal 1 for up, diagonal b_y, and
-    subdiagonal lambda_y for down)."""
-    n = L + 1
-    m = [[ZERO] * n for _ in range(n)]
-    for y in range(n):
-        m[y][y] = w.effective_b(y)
-        if y + 1 < n:
-            m[y][y + 1] = ONE
-        if y - 1 >= 0:
-            m[y][y - 1] = w.effective_lambda(y)
-    return m
-
-
 @lru_cache(maxsize=8192)
 def _transfer_row(L: int, w: WeightSpec, y_start: int, t: int) -> tuple:
     """Row y_start of the t-th transfer matrix power (iterated multiplication)."""
@@ -270,10 +259,14 @@ def _transfer_row(L: int, w: WeightSpec, y_start: int, t: int) -> tuple:
 
 
 def transfer_matrix(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
-    """Entry (y_start, y_end) of the t-th power of the Jacobi matrix."""
+    """Entry (y_start, y_end) of the t-th power of the Jacobi matrix.  The
+    rows are filled into the cache bottom-up, so none recurses further than
+    the row below it, at any t."""
     if q.L != w.strip_height:
         raise ValueError(f"query strip L={q.L} != weights strip L={w.strip_height}")
-    return _transfer_row(q.L, w, q.y_start, q.t)[q.y_end]
+    for t in range(q.t + 1):
+        row = _transfer_row(q.L, w, q.y_start, t)
+    return row[q.y_end]
 
 
 def h_factor(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
@@ -292,7 +285,8 @@ def _ratio(q: StripQuery, w: WeightSpec, f) -> tuple:
 
     with every recurrence polynomial P mapped by ``f`` into the ring of the
     engine, where Y' and Y are the lower and upper of the two boundary
-    heights and h is :func:`h_factor`."""
+    heights and h is :func:`h_factor`.  The numerator is zero exactly when
+    h has a zero lambda, a wall between the two heights."""
     num = f(ortho_poly(q.y_lo, 0, w)) * h_factor(q, w)
     num = num * f(ortho_poly(q.L - q.y_hi, q.y_hi + 1, w))
     return num, f(ortho_poly(q.L + 1, 0, w))
@@ -302,8 +296,11 @@ def _x_product(q: StripQuery, w: WeightSpec, e: int,
                whole: bool = False) -> TruncatedSeries:
     """x^(Y-Y') times the ratio under ``reciprocal``, as a series in x, the
     denominator inverted just far enough to read x^e: the x^e coefficient
-    alone, or with ``whole`` every coefficient up to it."""
+    alone, or with ``whole`` every coefficient up to it (all zero when the
+    numerator is)."""
     num, den = _ratio(q, w, reciprocal)
+    if num.is_zero:
+        return TruncatedSeries("x", {}, e)
     if q.y_hi - q.y_lo:
         num = num * monomial(1, x=q.y_hi - q.y_lo)
     inv = series_invert(den, _inversion_order(num, den, e, "x"), var="x")
@@ -351,16 +348,17 @@ def rho_ct(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
 
     where ratio is Viennot's ratio (see ``_ratio``) after the change of
     variable x -> rho + b + lam/rho, and b, lam are the backgrounds of w.
-    They must be rational (the lowest coefficient of P_{L+1} is then the
-    unit lam^(L+1)); decorations may stay symbolic.  The t-dependent kernel
+    They must be rational and lam nonzero (the lowest coefficient of
+    P_{L+1} is then the unit lam^(L+1); ``to_laurent`` raises ZeroLambda
+    otherwise); decorations may stay symbolic or zero.  The t-dependent kernel
     is multiplied in last, and the denominator is inverted just far enough
     to read the constant term."""
     if q.L != w.strip_height:
         raise ValueError(f"query strip L={q.L} != weights strip L={w.strip_height}")
     b, lam = w.background_b, w.background_lambda
-    # never zero: each factor is a nonzero Laurent polynomial, since lam and
-    # every effective lambda in h are nonzero (to_laurent refuses lam = 0)
     num, den = _ratio(q, w, lambda p: to_laurent(p, b, lam))
+    if num.is_zero:
+        return ZERO
     num = num * ((monomial(lam, rho=-1) - sym("rho")) * _kernel_power(b, lam, q.t))
     inv = _rho_denominator_inverse(den, _inversion_order(num, den, 0, "rho"))
     return inv.mul_poly(num, exponent=0).constant_term()

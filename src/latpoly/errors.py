@@ -25,7 +25,8 @@ class NonInvertibleSubstitution(LatPolyError):
 
 
 class ZeroLambda(LatPolyError):
-    """A down-step weight that must be nonzero was zero."""
+    """rho-ct's change of variable x -> rho + b + lambda/rho met a zero
+    background lambda."""
 
 
 class NearBranchPoint(LatPolyError):

@@ -32,9 +32,9 @@ class WeightSpec:
 
     Effective weights are b_i = b + across[i] and lambda_i = lam + down[i],
     with the background value alone at undecorated heights.  Down
-    decorations live on heights 1..L, across decorations on 0..L.  An
-    effective lambda that is rational and zero is rejected: the recurrence
-    and the series engines assume every lambda_i is nonzero.
+    decorations live on heights 1..L, across decorations on 0..L.  Any
+    weight may be zero: a zero lambda_i is a wall that no path steps down
+    through.
     """
 
     __slots__ = ("strip_height", "background_b", "background_lambda",
@@ -50,10 +50,6 @@ class WeightSpec:
             across, 0, L, "across decoration")
         self.down_decorations = self._check_decorations(
             down, 1, L, "down decoration")
-        for i in range(1, L + 1):
-            eff = self.effective_lambda(i)
-            if eff.is_rational and eff.as_fraction() == 0:
-                raise ZeroLambda(f"effective lambda at height {i} is zero")
         self._key = (self.background_b, self.background_lambda, L,
                      tuple(sorted(self.across_decorations.items())),
                      tuple(sorted(self.down_decorations.items())))
@@ -134,37 +130,34 @@ class OrthoPoly:
 
 @lru_cache(maxsize=4096)
 def ortho_poly(k: int, j: int, w: WeightSpec) -> OrthoPoly:
-    """Order-k shift-j polynomial of the three-term recurrence for w."""
+    """Order-k shift-j polynomial of the three-term recurrence for w, the
+    only code that runs the recurrence.  The lower orders are filled into
+    the cache bottom-up first, so the stack stays flat at any order."""
     if k < 0 or j < 0:
         raise ValueError("order and shift must be nonnegative")
     if k == 0:
         return OrthoPoly(0, j, ONE)
     if k == 1:
         return OrthoPoly(1, j, _X - w.effective_b(j))
+    for i in range(2, k):
+        ortho_poly(i, j, w)
     prev = ortho_poly(k - 1, j, w).poly
     prev2 = ortho_poly(k - 2, j, w).poly
     poly = (_X - w.effective_b(k + j - 1)) * prev - w.effective_lambda(k + j - 1) * prev2
     return OrthoPoly(k, j, poly)
 
 
-@lru_cache(maxsize=4096)
-def _chebyshev_cached(k: int, b: LaurentPolynomial, lam: LaurentPolynomial) -> LaurentPolynomial:
-    if k == 0:
-        return ONE
-    if k == 1:
-        return _X - b
-    return ((_X - b) * _chebyshev_cached(k - 1, b, lam)
-            - lam * _chebyshev_cached(k - 2, b, lam))
-
-
 def chebyshev_s(k: int, b=0, lam=1) -> LaurentPolynomial:
-    """Constant-weight solution S_k of the recurrence; b and lam may be
-    rationals or symbols.  Equals ortho_poly(k, j, w) for every j when w
-    carries no decorations."""
+    """Constant-weight solution S_k of the recurrence: ortho_poly(k, 0, .)
+    over weights with b and lam at every height.  b and lam may be
+    rationals, symbols or symbol names.  Equals ortho_poly(k, j, w) for
+    every j when w carries no decorations."""
     if k < 0:
         raise ValueError("order must be nonnegative")
-    return _chebyshev_cached(k, as_poly(sym(b) if isinstance(b, str) else b),
-                             as_poly(sym(lam) if isinstance(lam, str) else lam))
+    b, lam = (sym(v) if isinstance(v, str) else v for v in (b, lam))
+    w = WeightSpec(k, 0, 0, across=dict.fromkeys(range(k + 1), b),
+                   down=dict.fromkeys(range(1, k + 1), lam))
+    return ortho_poly(k, 0, w).poly
 
 
 def reciprocal(p: OrthoPoly) -> LaurentPolynomial:
@@ -190,7 +183,7 @@ def to_laurent(p: OrthoPoly, b, lam) -> LaurentPolynomial:
 def chebyshev_closed_form_check(k: int, x0: float) -> tuple[float, float]:
     """Pair (recurrence value, surd formula value) of S_k at x0 for b=0, lam=1.
 
-    The recurrence side is evaluated exactly at Fraction(x0) and converted to
+    chebyshev_s(k) is evaluated exactly at Fraction(x0) and converted to
     float at the end; the closed form uses complex arithmetic so both sides
     of x*x = 4 work.  Used only as a numeric validation pair, never as a
     computation path.
@@ -199,16 +192,7 @@ def chebyshev_closed_form_check(k: int, x0: float) -> tuple[float, float]:
         raise ValueError("order must be nonnegative")
     if abs(x0 * x0 - 4.0) < 1e-6:
         raise NearBranchPoint(f"x0={x0} too close to a branch point")
-    xq = Fraction(x0)
-    prev2, prev = Fraction(1), xq
-    if k == 0:
-        exact = prev2
-    elif k == 1:
-        exact = prev
-    else:
-        for _ in range(k - 1):
-            prev2, prev = prev, xq * prev - prev2
-        exact = prev
+    exact = chebyshev_s(k).substitute({"x": Fraction(x0)}).as_fraction()
     root = cmath.sqrt(complex(x0 * x0 - 4.0))
     closed = ((x0 + root) ** (k + 1) - (x0 - root) ** (k + 1)) / (2 ** (k + 1) * root)
     return (float(exact), closed.real)

@@ -38,8 +38,13 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 # a monomial is tuple[tuple[str, int], ...]: sorted (symbol, exponent) pairs
 
 
+def _exact(value) -> bool:
+    """int or Fraction, but not bool."""
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+
+
 def _coerce_coeff(value) -> int | Fraction:
-    if isinstance(value, (int, Fraction)):
+    if _exact(value):
         return value
     raise TypeError(f"exact coefficient required, got {type(value).__name__}")
 
@@ -214,7 +219,7 @@ class LaurentPolynomial:
     def __eq__(self, other):
         if isinstance(other, LaurentPolynomial):
             return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
+        if _exact(other):
             return self._terms == as_poly(other)._terms
         return NotImplemented
 
@@ -391,7 +396,7 @@ def as_poly(value) -> LaurentPolynomial:
     """Coerce an int, Fraction or polynomial to a LaurentPolynomial."""
     if isinstance(value, LaurentPolynomial):
         return value
-    if isinstance(value, (int, Fraction)):
+    if _exact(value):
         return LaurentPolynomial._raw({(): value}) if value else ZERO
     raise TypeError(f"cannot interpret {type(value).__name__} as a polynomial")
 
@@ -515,22 +520,28 @@ class TruncatedSeries:
     def _format(self, coeff_text, power, sep: str) -> str:
         """The term loop of render and latex: coefficients by ascending
         exponent, each joined to its power by ``sep`` (bare when it is 1,
-        parenthesized when it has several terms), then the order term."""
-        parts = []
+        parenthesized when it has several terms, its sign pulled out when it
+        has one), then the order term."""
+        text = ""
         for e in sorted(self._coeffs):
             c = self._coeffs[e]
-            if e == 0:
-                parts.append(coeff_text(c))
-                continue
+            negative = c.term_count() == 1 and next(iter(c.terms().values())) < 0
+            if negative:
+                c = -c
             p = self.var if e == 1 else power(e)
-            if c == ONE:
-                parts.append(p)
+            if e == 0:
+                body = coeff_text(c)
+            elif c == ONE:
+                body = p
             elif c.term_count() == 1:
-                parts.append(f"{coeff_text(c)}{sep}{p}")
+                body = f"{coeff_text(c)}{sep}{p}"
             else:
-                parts.append(f"({coeff_text(c)}){sep}{p}")
-        body = " + ".join(parts) or "0"
-        return f"{body} + O({power(self.truncation_order + 1)})"
+                body = f"({coeff_text(c)}){sep}{p}"
+            if not text:
+                text = f"-{body}" if negative else body
+            else:
+                text += f" {'-' if negative else '+'} {body}"
+        return f"{text or '0'} + O({power(self.truncation_order + 1)})"
 
     def __str__(self):
         return self.render()

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -21,7 +23,6 @@ from latpoly import (
     enumerate_paths,
     generating_function,
     h_factor,
-    jacobi_matrix,
     path_weight,
     rho_ct,
     sym,
@@ -135,15 +136,6 @@ def test_brute_force_cap():
         brute_force(StripQuery(70, 0, 0, 1), w, cap=100)
 
 
-def test_jacobi_matrix_shape():
-    w = WeightSpec.generic(2)
-    m = jacobi_matrix(2, w)
-    assert m[0][1] == ONE and m[1][2] == ONE
-    assert m[0][0] == sym("b0") and m[2][2] == sym("b2")
-    assert m[1][0] == sym("lambda1") and m[2][1] == sym("lambda2")
-    assert m[0][2] == ZERO and m[2][0] == ZERO
-
-
 def test_transfer_matrix_examples():
     w = WeightSpec.generic(3)
     assert transfer_matrix(StripQuery(1, 0, 1, 3), w) == ONE
@@ -153,8 +145,9 @@ def test_transfer_matrix_examples():
 
 def test_transfer_matrix_equals_explicit_matrix_power():
     # independent oracle: square matrix product written out in the test
-    w = WeightSpec(2, 1, 1, down={1: sym("kappa")})
-    m = jacobi_matrix(2, w)
+    kappa = sym("kappa")
+    m = [[ONE, ONE, ZERO], [1 + kappa, ONE, ONE], [ZERO, ONE, ONE]]
+    w = WeightSpec(2, 1, 1, down={1: kappa})
     power = [[ONE if i == j else ZERO for j in range(3)] for i in range(3)]
     for t in range(0, 5):
         for y0 in range(3):
@@ -277,6 +270,56 @@ def test_query_validation():
         StripQuery(0, 3, 0, 2)
     with pytest.raises(ValueError):
         brute_force(StripQuery(1, 0, 0, 2), WeightSpec(3, 0, 1))
+    # a float length never reaches 0 in brute force's countdown, and a bool
+    # is not a height
+    for fields in ((1.5, 0, 0, 0), (True, 0, 0, 1), (2, False, 0, 1),
+                   (2, 0, 0, Fraction(1))):
+        with pytest.raises(ValueError):
+            StripQuery(*fields)
+
+
+def test_zero_lambda_is_a_wall_for_every_engine():
+    # a zero lambda_i forbids every down step from height i; only rho-ct's
+    # change of variable x -> rho + b + lam/rho needs a nonzero lambda, and
+    # only the background one
+    kappa = sym("kappa")
+    for L in range(4):
+        specs = [
+            WeightSpec(L, 0, 0),
+            WeightSpec(L, 1, 0, across={0: kappa}, down={L: kappa} if L else None),
+            WeightSpec(L, 0, 1, down={1: -1} if L else None),
+            WeightSpec(L, Fraction(1, 2), 2, across={L: kappa},
+                       down={h: -2 if h == L else kappa for h in range(1, L + 1)}),
+        ]
+        for w in specs:
+            for y0 in range(L + 1):
+                for y1 in range(L + 1):
+                    gf = generating_function(y0, y1, L, w, 6)
+                    for t in range(7):
+                        q = StripQuery(t, y0, y1, L)
+                        expected = brute_force(q, w)
+                        assert transfer_matrix(q, w) == expected, (q, w)
+                        assert viennot_ct(q, w) == expected, (q, w)
+                        assert gf.coefficient(t) == expected, (q, w)
+                        if w.background_lambda:
+                            assert rho_ct(q, w) == expected, (q, w)
+                        else:
+                            with pytest.raises(ZeroLambda):
+                                rho_ct(q, w)
+
+
+def test_deep_t_and_L_need_no_recursion():
+    # transfer rows and recurrence orders are filled bottom-up, so neither t
+    # nor L is bounded by the interpreter's recursion limit
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        # J = [[1, 1], [1, 1]], so J^300 = 2^299 J
+        assert (transfer_matrix(StripQuery(300, 0, 1, 1), WeightSpec(1, 1, 1))
+                == 2 ** 299)
+        assert viennot_ct(StripQuery(4, 0, 0, 300), WeightSpec(300, 0, 1)) == 2
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 @st.composite
@@ -291,9 +334,8 @@ def strip_queries(draw):
     def decorations(lo, kind):
         out = {}
         for h in draw(st.sets(st.integers(lo, L), max_size=3)) if lo <= L else ():
-            value = draw(st.sampled_from(RATIONAL_POOL + [sym(f"{kind}{h}")]))
-            # keep every effective lambda nonzero; a zero effective b may occur
-            out[h] = value + 1 if kind == "u" and value == -lam else value
+            # an effective b or lambda may be zero
+            out[h] = draw(st.sampled_from(RATIONAL_POOL + [sym(f"{kind}{h}")]))
         return out
 
     w = WeightSpec(L, draw(st.sampled_from(BACKGROUND_B_POOL)), lam,

@@ -163,10 +163,6 @@ def test_weight_spec_validation():
         WeightSpec(2, down={3: sym("kappa")})
     with pytest.raises(ValueError):
         WeightSpec(2, across={-1: sym("kappa")})
-    with pytest.raises(ZeroLambda):
-        WeightSpec(2, 0, 0)  # undecorated rational lambda 0
-    with pytest.raises(ZeroLambda):
-        WeightSpec(2, 0, 1, down={1: -1})  # effective lambda_1 = 0
     with pytest.raises(TypeError):
         WeightSpec(2, b=0.5)
     # symbolic effective lambdas are fine even over a zero background

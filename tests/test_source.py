@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import latpoly
@@ -18,3 +19,24 @@ def test_library_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_benchmark_tracer_names_exist():
+    # perfbench/tracer.py rebinds these names from outside the library, and
+    # this suite does not run the benchmark, so a rename would pass here and
+    # break only there
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+
+    def module(name):
+        return importlib.import_module(f"latpoly.{name}")
+
+    missing = [f"{m}.{a}" for m, a in tracer.FUNCTIONS.values()
+               if not hasattr(module(m), a)]
+    missing += [f"{cls}.{name}" for cls, names in tracer.METHODS.values()
+                for name in names if name not in vars(getattr(module("symbolic"), cls))]
+    missing += [f"{m}.{a}.cache_info" for m, a in tracer.CACHES.values()
+                if not callable(getattr(getattr(module(m), a, None), "cache_info", None))]
+    assert missing == []

@@ -90,6 +90,12 @@ def test_pow_binomial_oracle():
 def test_float_coefficients_rejected():
     with pytest.raises(TypeError):
         LaurentPolynomial({(): 0.5})
+    # nor is a bool, which would otherwise pass for an int
+    for make in (as_poly, lambda v: monomial(v, x=1),
+                 lambda v: LaurentPolynomial({(): v})):
+        with pytest.raises(TypeError):
+            make(True)
+    assert ONE != True  # noqa: E712
 
 
 def test_negative_exponent_restricted_to_rho():
@@ -247,8 +253,8 @@ def test_latex():
 def test_series_latex_follows_render_layout():
     kappa = sym("kappa")
     s = TruncatedSeries("x", {0: 1, 1: -kappa, 2: kappa ** 2 + 1, 3: 1}, 4)
-    assert s.render() == "1 + -kappa*x + (kappa^2 + 1)*x^2 + x^3 + O(x^5)"
-    assert s.latex() == ("1 + -\\kappa x + (\\kappa^{2} + 1) x^{2} + x^{3}"
+    assert s.render() == "1 - kappa*x + (kappa^2 + 1)*x^2 + x^3 + O(x^5)"
+    assert s.latex() == ("1 - \\kappa x + (\\kappa^{2} + 1) x^{2} + x^{3}"
                          " + O(x^{5})")
     assert TruncatedSeries("x", {}, 0).latex() == "0 + O(x^{1})"
 
