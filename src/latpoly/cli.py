@@ -19,7 +19,7 @@ from functools import cache
 from math import inf
 
 from .errors import LatPolyError, SchemaError
-from .symbolic import LaurentPolynomial, as_poly, parse_polynomial, sym
+from .symbolic import LaurentPolynomial, _whole, as_poly, parse_polynomial, sym
 from .orthopoly import WeightSpec
 from .engines import (
     StripQuery,
@@ -150,7 +150,7 @@ def _param_value(text: str):
         frac = Fraction(text)
     except (ValueError, ZeroDivisionError):
         return parse_polynomial(text)
-    return int(frac) if frac.denominator == 1 else frac
+    return _whole(frac)
 
 
 def _model_params(name: str, pairs) -> dict:

@@ -30,6 +30,7 @@ from .symbolic import (
     TruncatedSeries,
     ZERO,
     _inversion_order,
+    _whole,
     as_poly,
     monomial,
     series_invert,
@@ -217,7 +218,7 @@ def _evaluate_signatures(cell: dict, L: int, w: WeightSpec) -> LaurentPolynomial
         for mono, coeff in piece.terms().items():
             v = acc.get(mono, 0) + coeff
             if v:
-                acc[mono] = v
+                acc[mono] = _whole(v)
             elif mono in acc:
                 del acc[mono]
     return LaurentPolynomial._raw(acc)
@@ -332,7 +333,7 @@ def generating_function(y_start: int, y_end: int, L: int, w: WeightSpec,
 
 
 @lru_cache(maxsize=4096)
-def _kernel_power(b: Fraction, lam: Fraction, t: int) -> LaurentPolynomial:
+def _kernel_power(b: int | Fraction, lam: int | Fraction, t: int) -> LaurentPolynomial:
     return (sym("rho") + b + monomial(lam, rho=-1)) ** t
 
 

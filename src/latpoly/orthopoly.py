@@ -16,15 +16,15 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NearBranchPoint, ZeroLambda
-from .symbolic import LaurentPolynomial, ONE, as_poly, monomial, sym
+from .symbolic import LaurentPolynomial, ONE, _whole, as_poly, monomial, sym
 
 _X = sym("x")
 
 
-def _coerce_background(value, what: str) -> Fraction:
+def _coerce_background(value, what: str) -> int | Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise TypeError(f"{what} must be an exact rational, got {value!r}")
-    return Fraction(value)
+    return _whole(value)
 
 
 class WeightSpec:
@@ -34,11 +34,12 @@ class WeightSpec:
     with the background value alone at undecorated heights.  Down
     decorations live on heights 1..L, across decorations on 0..L.  Any
     weight may be zero: a zero lambda_i is a wall that no path steps down
-    through.
+    through.  Each effective weight is computed once, on construction.
     """
 
     __slots__ = ("strip_height", "background_b", "background_lambda",
-                 "across_decorations", "down_decorations", "_key", "_hash")
+                 "across_decorations", "down_decorations", "_key", "_hash",
+                 "_b", "_b_at", "_lambda", "_lambda_at")
 
     def __init__(self, L: int, b=0, lam=1, across=None, down=None):
         if not isinstance(L, int) or L < 0:
@@ -54,6 +55,11 @@ class WeightSpec:
                      tuple(sorted(self.across_decorations.items())),
                      tuple(sorted(self.down_decorations.items())))
         self._hash = hash(self._key)
+        self._b = as_poly(self.background_b)
+        self._b_at = {i: self._b + v for i, v in self.across_decorations.items()}
+        self._lambda = as_poly(self.background_lambda)
+        self._lambda_at = {i: self._lambda + v
+                           for i, v in self.down_decorations.items()}
 
     @staticmethod
     def _check_decorations(values, lo: int, hi: int, what: str) -> dict:
@@ -68,14 +74,10 @@ class WeightSpec:
 
     def effective_b(self, i: int) -> LaurentPolynomial:
         """b_i = background + decoration (background alone beyond the strip)."""
-        base = as_poly(self.background_b)
-        dec = self.across_decorations.get(i)
-        return base if dec is None else base + dec
+        return self._b_at.get(i, self._b)
 
     def effective_lambda(self, i: int) -> LaurentPolynomial:
-        base = as_poly(self.background_lambda)
-        dec = self.down_decorations.get(i)
-        return base if dec is None else base + dec
+        return self._lambda_at.get(i, self._lambda)
 
     @property
     def across_heights(self) -> frozenset:
@@ -166,8 +168,8 @@ def reciprocal(p: OrthoPoly) -> LaurentPolynomial:
 
 
 @lru_cache(maxsize=4096)
-def _to_laurent_cached(poly: LaurentPolynomial,
-                       b: Fraction, lam: Fraction) -> LaurentPolynomial:
+def _to_laurent_cached(poly: LaurentPolynomial, b: int | Fraction,
+                       lam: int | Fraction) -> LaurentPolynomial:
     image = sym("rho") + b + monomial(lam, rho=-1)
     return poly.substitute({"x": image})
 

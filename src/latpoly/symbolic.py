@@ -2,10 +2,15 @@
 
 A polynomial is a mapping from monomials to coefficients.  A monomial is a
 sorted tuple of (symbol, exponent) pairs with every exponent nonzero; the
-empty tuple is the constant monomial.  Coefficients are exact (int or
-Fraction) and zero coefficients are never stored, so structural equality of
-normalized values coincides with mathematical equality.  Floats are rejected
-outright.
+empty tuple is the constant monomial.  Coefficients are exact and zero
+coefficients are never stored, so structural equality of normalized values
+coincides with mathematical equality.  Floats are rejected outright.
+
+One rule holds for every stored coefficient: a value whose denominator is 1
+is an ``int``, anything else a ``Fraction`` (see :func:`_whole`).  It is
+applied where values enter (the constructor, :func:`monomial`,
+:func:`as_poly`, parsed numbers) and where they are made (sums and
+products), so whole-number weights run integer arithmetic throughout.
 
 Only the distinguished series variable ``rho`` may carry negative exponents.
 All other symbols live in an ordinary polynomial ring; that restriction
@@ -43,9 +48,16 @@ def _exact(value) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
+def _whole(value) -> int | Fraction:
+    """The coefficient rule: an exact value whose denominator is 1 as int."""
+    if type(value) is Fraction and value.denominator == 1:
+        return value.numerator
+    return value
+
+
 def _coerce_coeff(value) -> int | Fraction:
     if _exact(value):
-        return value
+        return _whole(value)
     raise TypeError(f"exact coefficient required, got {type(value).__name__}")
 
 
@@ -89,7 +101,7 @@ class LaurentPolynomial:
                 if not _NAME_RE.match(name):
                     raise ValueError(f"bad symbol name {name!r}")
             normalized[mono] = normalized.get(mono, 0) + coeff
-        self._terms = {m: c for m, c in normalized.items() if c != 0}
+        self._terms = {m: _whole(c) for m, c in normalized.items() if c != 0}
         self._hash = None
 
     @classmethod
@@ -168,7 +180,7 @@ class LaurentPolynomial:
         for m, c in other._terms.items():
             v = out.get(m, 0) + c
             if v:
-                out[m] = v
+                out[m] = _whole(v)
             else:
                 del out[m]
         return LaurentPolynomial._raw(out)
@@ -198,6 +210,9 @@ class LaurentPolynomial:
                     out[m] = v
                 elif m in out:
                     del out[m]
+        for m, v in out.items():  # an int product needs no rule
+            if type(v) is not int:
+                out[m] = _whole(v)
         return LaurentPolynomial._raw(out)
 
     __rmul__ = __mul__
@@ -397,7 +412,7 @@ def as_poly(value) -> LaurentPolynomial:
     if isinstance(value, LaurentPolynomial):
         return value
     if _exact(value):
-        return LaurentPolynomial._raw({(): value}) if value else ZERO
+        return LaurentPolynomial._raw({(): _whole(value)}) if value else ZERO
     raise TypeError(f"cannot interpret {type(value).__name__} as a polynomial")
 
 
@@ -565,7 +580,7 @@ def _inverse_state(d: LaurentPolynomial, var: str) -> tuple:
             f"lowest coefficient {lowest} carries symbols; "
             "series coefficients would not be polynomials")
     # nonzero: split never yields a zero coefficient
-    unit_inv = Fraction(1) / lowest.as_fraction()
+    unit_inv = _whole(Fraction(1) / lowest.as_fraction())
     tail = sorted((e - m, c) for e, c in parts.items())
     return m, tail, unit_inv, [as_poly(unit_inv)], threading.Lock()
 
@@ -636,7 +651,7 @@ def _tokenize(text: str):
             raise ValueError(f"floating literal {m.group('float')!r} not allowed; use p/q")
         if m.group("number"):
             try:
-                tokens.append(("num", Fraction(m.group("number"))))
+                tokens.append(("num", _whole(Fraction(m.group("number")))))
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in {m.group('number')!r}") from None
         elif m.group("name"):

@@ -110,7 +110,7 @@ def test_brute_force_groups_equal_weights():
     # kappa decorates across heights 0 and 2 and down height 1, so
     # b_0 = b_2 = lambda_1, and the rational decoration -1 makes b_1 equal
     # the background lambda_2: brute force gives equal weights one exponent.
-    # Summing path_weight is slow, so past t = 8 the transfer matrix alone
+    # Summing path_weight is slow, so past t = 10 the transfer matrix alone
     # is the reference.
     kappa = sym("kappa")
     w = WeightSpec(2, 2, 1, across={0: kappa, 1: -1, 2: kappa}, down={1: kappa + 1})
@@ -122,10 +122,18 @@ def test_brute_force_groups_equal_weights():
                 q = StripQuery(t, y0, y1, 2)
                 value = brute_force(q, w)
                 assert value == transfer_matrix(q, w), q
-                if t <= 8:
+                if t <= 10:
                     paths = enumerate_paths(t, y0, 2, y1)
                     direct = Counter(path_weight(p, w) for p in paths)
                     assert value == sum((c * v for v, c in direct.items()), ZERO), q
+
+
+def test_brute_force_sums_to_an_int():
+    # b_0 = 1/4 and b_1 = 3/4 are distinct weights, so the two paths from
+    # 0 to 1 are two pieces of the signature cell that sum to 1
+    w = WeightSpec(1, Fraction(1, 4), 1, across={1: Fraction(1, 2)})
+    value = brute_force(StripQuery(2, 0, 1, 1), w)
+    assert value == 1 and type(value.terms()[()]) is int
 
 
 def test_brute_force_cap():
@@ -350,3 +358,17 @@ def test_five_way_agreement_random_queries(query):
     q, w = query
     values = _all_engine_values(q, w)
     assert len(set(values.values())) == 1, {k: v.render() for k, v in values.items()}
+
+
+def _whole_coefficients_are_int(p) -> bool:
+    return all(type(c) is int or c.denominator != 1 for c in p.terms().values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(strip_queries())
+def test_whole_coefficients_are_int_random_queries(query):
+    # strip_queries draws a nonzero background lambda, so rho-ct is checked
+    # too; the weights come in as Fraction, whole or not
+    q, w = query
+    for name, value in _all_engine_values(q, w).items():
+        assert _whole_coefficients_are_int(value), (name, value.terms())

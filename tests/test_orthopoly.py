@@ -169,6 +169,12 @@ def test_weight_spec_validation():
     WeightSpec.generic(3)
 
 
+def test_weight_spec_whole_background_is_int():
+    w = WeightSpec(1, Fraction(4, 2), 1)
+    assert type(w.background_b) is int
+    assert type(w.effective_b(0).terms()[()]) is int
+
+
 def test_weight_spec_drops_zero_decorations():
     w = WeightSpec(2, 1, 1, across={0: 0}, down={1: sym("kappa") - sym("kappa")})
     assert not w.across_decorations and not w.down_decorations

@@ -273,6 +273,14 @@ def test_parse_polynomial():
         parse_polynomial("kappa-1", allowed_symbols={"omega"})
 
 
+def test_whole_coefficients_are_int():
+    (coeff,) = parse_polynomial("4/2*x").terms().values()
+    assert type(coeff) is int
+    half = as_poly(Fraction(1, 2))
+    for value in (half * 2, half + Fraction(1, 2)):
+        assert value == 1 and type(value.terms()[()]) is int
+
+
 def test_parse_render_round_trip():
     p = 3 * X ** 2 * sym("kappa") - monomial(Fraction(5, 3), rho=-2) + 7
     assert parse_polynomial(p.render()) == p
