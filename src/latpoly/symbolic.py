@@ -8,9 +8,10 @@ coincides with mathematical equality.  Floats are rejected outright.
 
 One rule holds for every stored coefficient: a value whose denominator is 1
 is an ``int``, anything else a ``Fraction`` (see :func:`_whole`).  It is
-applied where values enter (the constructor, :func:`monomial`,
-:func:`as_poly`, parsed numbers) and where they are made (sums and
-products), so whole-number weights run integer arithmetic throughout.
+applied where values enter, in the constructor and :func:`as_poly` (which
+:func:`monomial`, parsed numbers and scalar operands pass through), and
+where they are made (sums and products), so whole-number weights run
+integer arithmetic throughout.
 
 Only the distinguished series variable ``rho`` may carry negative exponents.
 All other symbols live in an ordinary polynomial ring; that restriction
@@ -57,7 +58,7 @@ def _whole(value) -> int | Fraction:
 
 def _coerce_coeff(value) -> int | Fraction:
     if _exact(value):
-        return _whole(value)
+        return value
     raise TypeError(f"exact coefficient required, got {type(value).__name__}")
 
 
@@ -580,7 +581,7 @@ def _inverse_state(d: LaurentPolynomial, var: str) -> tuple:
             f"lowest coefficient {lowest} carries symbols; "
             "series coefficients would not be polynomials")
     # nonzero: split never yields a zero coefficient
-    unit_inv = _whole(Fraction(1) / lowest.as_fraction())
+    unit_inv = Fraction(1) / lowest.as_fraction()
     tail = sorted((e - m, c) for e, c in parts.items())
     return m, tail, unit_inv, [as_poly(unit_inv)], threading.Lock()
 
@@ -651,7 +652,7 @@ def _tokenize(text: str):
             raise ValueError(f"floating literal {m.group('float')!r} not allowed; use p/q")
         if m.group("number"):
             try:
-                tokens.append(("num", _whole(Fraction(m.group("number")))))
+                tokens.append(("num", Fraction(m.group("number"))))
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in {m.group('number')!r}") from None
         elif m.group("name"):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import json
 from pathlib import Path
 
 import latpoly
@@ -40,3 +41,19 @@ def test_benchmark_tracer_names_exist():
     missing += [f"{m}.{a}.cache_info" for m, a in tracer.CACHES.values()
                 if not callable(getattr(getattr(module(m), a, None), "cache_info", None))]
     assert missing == []
+
+
+def test_bench_pairs_reads_a_benchmark_run():
+    # tools/bench_pairs.py reads perfbench/run.py's stdout (a metadata line,
+    # the result last), so a change to that layout must fail here
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("bench_pairs",
+                                                  root / "tools" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    run = bench_pairs._run(root, "closed", 1, 0, "--tiny")
+    assert run["failed"] == 0 and run["attempted"] > 0
+    assert run["host_slowdown"] > 0
+    # the record summarizes every end-to-end metric the benchmark declares
+    declared = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
+    assert set(run["metrics"]) == {m["name"] for m in declared}

@@ -1,12 +1,12 @@
 """Paired benchmark runs of two checkouts, written to one JSON record.
 
-    python3 tools/bench_pairs.py --parent DIR --change DIR --pairs 10 \
-        --seconds 30 --out BENCH.json
+    python3 tools/bench_pairs.py --parent DIR --change DIR --pairs 10 --out BENCH.json
 
 For each pair and each workload (grid, swell, closed) it runs
 ``perfbench/run.py --trace 0`` once in each checkout on the same fresh
-seed, and alternates which checkout runs first from one pair to the next,
-so that a drift of the host's speed falls on both sides alike.  The record
+seed, for the ``run_seconds`` that the change's BENCHMARK.json sets.  It
+alternates which checkout runs first from one pair to the next, so that
+a drift of the host's speed falls on both sides alike.  The record
 holds both commits, the Python version, every run's metrics and, per side,
 workload and metric, the median and quartiles, with the number of pairs in
 which the change did better.  Standard library only.
@@ -26,11 +26,12 @@ WORKLOADS = ("grid", "swell", "closed")
 SIDES = ("parent", "change")
 
 
-def _run(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run; its last stdout line is the result."""
+def _run(root: Path, workload: str, seed: int, seconds: float, *flags: str) -> dict:
+    """One untraced benchmark run, with any further run.py ``flags``; its
+    last stdout line is the result, and an earlier one the metadata."""
     proc = subprocess.run(
         [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0", *flags],
         capture_output=True, text=True)
     if proc.returncode:
         raise RuntimeError(f"{root} {workload} seed {seed} exited "
@@ -67,7 +68,6 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--seed", type=int, default=101,
                         help="seed of the first pair; pair i uses seed + i")
     parser.add_argument("--out", type=Path, default=Path("BENCH.json"))
@@ -77,13 +77,14 @@ def main(argv=None) -> int:
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
 
     runs = {w: {side: [] for side in SIDES} for w in WORKLOADS}
     for i in range(args.pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for workload in WORKLOADS:
             for side in order:
-                run = _run(roots[side], workload, args.seed + i, args.seconds)
+                run = _run(roots[side], workload, args.seed + i, seconds)
                 run["first"] = side == order[0]
                 runs[workload][side].append(run)
                 print(f"pair {i} {workload} {side} "
@@ -93,7 +94,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         # as each checkout's runs report it (run.py's git revision)
         "commits": {side: runs["grid"][side][0]["commit"] for side in SIDES},
-        "pairs": args.pairs, "seconds": args.seconds,
+        "pairs": args.pairs, "seconds": seconds,
         "seeds": [args.seed + i for i in range(args.pairs)],
         "workloads": {w: {"summary": _summary(runs[w], better), "runs": runs[w]}
                       for w in WORKLOADS},
