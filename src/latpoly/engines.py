@@ -30,7 +30,7 @@ from .symbolic import (
     TruncatedSeries,
     ZERO,
     _inversion_order,
-    _whole,
+    _sum,
     as_poly,
     monomial,
     series_invert,
@@ -207,7 +207,7 @@ def _evaluate_signatures(cell: dict, L: int, w: WeightSpec) -> LaurentPolynomial
         grouped[key] = grouped.get(key, 0) + count
 
     powers: dict = {}
-    acc: dict = {}
+    pieces = []
     for exponents, count in grouped.items():
         piece = as_poly(count)
         for j, e in enumerate(exponents):
@@ -215,13 +215,8 @@ def _evaluate_signatures(cell: dict, L: int, w: WeightSpec) -> LaurentPolynomial
                 if (j, e) not in powers:
                     powers[j, e] = distinct[j] ** e
                 piece = piece * powers[j, e]
-        for mono, coeff in piece.terms().items():
-            v = acc.get(mono, 0) + coeff
-            if v:
-                acc[mono] = _whole(v)
-            elif mono in acc:
-                del acc[mono]
-    return LaurentPolynomial._raw(acc)
+        pieces.append(piece)
+    return _sum(pieces)
 
 
 def brute_force(q: StripQuery, w: WeightSpec, cap: int = DEFAULT_BRUTE_CAP) -> LaurentPolynomial:

@@ -6,12 +6,13 @@ empty tuple is the constant monomial.  Coefficients are exact and zero
 coefficients are never stored, so structural equality of normalized values
 coincides with mathematical equality.  Floats are rejected outright.
 
-One rule holds for every stored coefficient: a value whose denominator is 1
-is an ``int``, anything else a ``Fraction`` (see :func:`_whole`).  It is
-applied where values enter, in the constructor and :func:`as_poly` (which
-:func:`monomial`, parsed numbers and scalar operands pass through), and
-where they are made (sums and products), so whole-number weights run
-integer arithmetic throughout.
+One rule holds for every coefficient that :meth:`LaurentPolynomial.terms`
+returns: a value whose denominator is 1 is an ``int``, anything else a
+``Fraction`` (see :func:`_whole`).  Inside, a polynomial is held as int
+numerators over one common denominator in lowest terms, which makes the
+held form unique.  Sums and products run integer arithmetic on the
+numerators and reduce once, so whole and non-whole coefficients cost about
+the same; the coefficients themselves are formed when first read.
 
 Only the distinguished series variable ``rho`` may carry negative exponents.
 All other symbols live in an ordinary polynomial ring; that restriction
@@ -29,6 +30,7 @@ import re
 import threading
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .errors import (
     NonInvertibleSubstitution,
@@ -62,6 +64,43 @@ def _coerce_coeff(value) -> int | Fraction:
     raise TypeError(f"exact coefficient required, got {type(value).__name__}")
 
 
+def _reduced(d: int, nums: dict) -> "LaurentPolynomial":
+    """The polynomial nums / d (sorted monomials, nonzero int values),
+    brought to lowest terms; every polynomial but the constructor's is made
+    here."""
+    if d != 1:
+        g = gcd(d, *nums.values())
+        if g != 1:
+            d //= g
+            nums = {m: v // g for m, v in nums.items()}
+    p = object.__new__(LaurentPolynomial)
+    p._den = d
+    p._num = nums
+    p._t = nums if d == 1 else None
+    p._hash = None
+    return p
+
+
+def _sum(polys) -> "LaurentPolynomial":
+    """The sum of a sequence of polynomials: the numerators are added as
+    ints over the common denominator, in one dict."""
+    if not polys:
+        return ZERO
+    D = lcm(*[p._den for p in polys])
+    first, *rest = polys
+    k = D // first._den
+    out = dict(first._num) if k == 1 else {m: v * k for m, v in first._num.items()}
+    for p in rest:
+        k = D // p._den
+        for m, c in p._num.items():
+            v = out.get(m, 0) + c * k
+            if v:
+                out[m] = v
+            else:
+                del out[m]
+    return _reduced(D, out)
+
+
 def _mono_mul(m1, m2):
     """Merge two monomials (exponents add, zeros drop)."""
     if not m1:
@@ -86,7 +125,11 @@ class LaurentPolynomial:
     mixes freely with int and Fraction operands.
     """
 
-    __slots__ = ("_terms", "_hash")
+    # the value is _num / _den in lowest terms: _num maps each monomial to a
+    # nonzero int and _den is the least common denominator; _t holds the
+    # coefficients themselves, divided out when first read (_num itself
+    # when _den is 1)
+    __slots__ = ("_den", "_num", "_t", "_hash")
 
     def __init__(self, terms=None):
         normalized: dict = {}
@@ -102,68 +145,71 @@ class LaurentPolynomial:
                 if not _NAME_RE.match(name):
                     raise ValueError(f"bad symbol name {name!r}")
             normalized[mono] = normalized.get(mono, 0) + coeff
-        self._terms = {m: _whole(c) for m, c in normalized.items() if c != 0}
+        normalized = {m: c for m, c in normalized.items() if c != 0}
+        # the least common denominator of reduced fractions leaves the
+        # numerators with no factor in common with it: lowest terms
+        d = lcm(*[c.denominator for c in normalized.values()])
+        self._den = d
+        self._num = {m: c.numerator * (d // c.denominator) for m, c in normalized.items()}
+        self._t = self._num if d == 1 else None
         self._hash = None
-
-    @classmethod
-    def _raw(cls, terms: dict) -> "LaurentPolynomial":
-        # internal fast path: terms already normalized (sorted monomials, no zeros)
-        p = object.__new__(cls)
-        p._terms = terms
-        p._hash = None
-        return p
 
     # -- inspection ---------------------------------------------------------
 
     def terms(self):
         """Mapping of monomial tuples to coefficients (do not mutate)."""
-        return self._terms
+        t = self._t
+        if t is None:
+            d = self._den
+            t = self._t = {m: Fraction(v, d) if v % d else v // d
+                           for m, v in self._num.items()}
+        return t
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     @property
     def is_rational(self) -> bool:
         """True when no symbols occur (the zero polynomial counts)."""
-        return all(not m for m in self._terms)
+        return all(not m for m in self._num)
 
     def as_fraction(self) -> Fraction:
         """The value of a constant polynomial, as a Fraction."""
-        if not self._terms:
+        if not self._num:
             return Fraction(0)
-        if len(self._terms) == 1 and () in self._terms:
-            return Fraction(self._terms[()])
+        if len(self._num) == 1 and () in self._num:
+            return Fraction(self._num[()], self._den)
         raise ValueError(f"not a constant polynomial: {self}")
 
     def symbols(self) -> set:
-        return {name for m in self._terms for name, _ in m}
+        return {name for m in self._num for name, _ in m}
 
     def term_count(self) -> int:
-        return len(self._terms)
+        return len(self._num)
 
     def min_exponent(self, var: str) -> int:
-        if not self._terms:
+        if not self._num:
             raise ValueError("zero polynomial has no extremal exponent")
-        return min(dict(m).get(var, 0) for m in self._terms)
+        return min(dict(m).get(var, 0) for m in self._num)
 
     def max_exponent(self, var: str) -> int:
-        if not self._terms:
+        if not self._num:
             raise ValueError("zero polynomial has no extremal exponent")
-        return max(dict(m).get(var, 0) for m in self._terms)
+        return max(dict(m).get(var, 0) for m in self._num)
 
     def split(self, var: str) -> dict:
         """{exponent of var: its coefficient, a polynomial in the other
         symbols}, built in one pass over the terms."""
         parts: dict = {}
-        for m, c in self._terms.items():
+        for m, c in self._num.items():
             e, rest = 0, m
             for i, (name, k) in enumerate(m):
                 if name == var:
                     e, rest = k, m[:i] + m[i + 1:]
                     break
             parts.setdefault(e, {})[rest] = c
-        return {e: LaurentPolynomial._raw(t) for e, t in parts.items()}
+        return {e: _reduced(self._den, t) for e, t in parts.items()}
 
     def coefficient_of(self, var: str, exponent: int) -> "LaurentPolynomial":
         """Coefficient of var**exponent, as a polynomial in the other symbols."""
@@ -176,20 +222,12 @@ class LaurentPolynomial:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        other = as_poly(other)
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            v = out.get(m, 0) + c
-            if v:
-                out[m] = _whole(v)
-            else:
-                del out[m]
-        return LaurentPolynomial._raw(out)
+        return _sum((self, as_poly(other)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPolynomial._raw({m: -c for m, c in self._terms.items()})
+        return _reduced(self._den, {m: -v for m, v in self._num.items()})
 
     def __sub__(self, other):
         return self + (-as_poly(other))
@@ -198,8 +236,11 @@ class LaurentPolynomial:
         return as_poly(other) + (-self)
 
     def __mul__(self, other):
+        # the numerators are multiplied as ints and the product of the
+        # denominators divided out once, so the cost hardly depends on
+        # whether the coefficients are whole
         other = as_poly(other)
-        a, b = self._terms, other._terms
+        a, b = self._num, other._num
         if len(a) > len(b):
             a, b = b, a
         out: dict = {}
@@ -211,10 +252,7 @@ class LaurentPolynomial:
                     out[m] = v
                 elif m in out:
                     del out[m]
-        for m, v in out.items():  # an int product needs no rule
-            if type(v) is not int:
-                out[m] = _whole(v)
-        return LaurentPolynomial._raw(out)
+        return _reduced(self._den * other._den, out)
 
     __rmul__ = __mul__
 
@@ -233,19 +271,20 @@ class LaurentPolynomial:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, LaurentPolynomial):
-            return self._terms == other._terms
-        if _exact(other):
-            return self._terms == as_poly(other)._terms
-        return NotImplemented
+        if not isinstance(other, LaurentPolynomial):
+            if not _exact(other):
+                return NotImplemented
+            other = as_poly(other)
+        # lowest terms make (_den, _num) unique to the value
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash((self._den, frozenset(self._num.items())))
         return self._hash
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._num)
 
     # -- structural operations ----------------------------------------------
 
@@ -266,10 +305,10 @@ class LaurentPolynomial:
                 if e >= 0:
                     power_cache[key] = p ** e
                 else:
-                    if len(p._terms) != 1:
+                    if p.term_count() != 1:
                         raise NonInvertibleSubstitution(
                             f"cannot raise non-monomial binding of {name!r} to power {e}")
-                    (mono, coeff), = p._terms.items()
+                    (mono, coeff), = p.terms().items()
                     inv_mono = tuple((n, -k) for n, k in mono)
                     for n, k in inv_mono:
                         if k < 0 and n != SERIES_VAR:
@@ -280,7 +319,7 @@ class LaurentPolynomial:
             return power_cache[key]
 
         out = ZERO
-        for m, c in self._terms.items():
+        for m, c in self._num.items():
             kept = []
             factor = None
             for name, e in m:
@@ -289,7 +328,7 @@ class LaurentPolynomial:
                     factor = f if factor is None else factor * f
                 else:
                     kept.append((name, e))
-            term = LaurentPolynomial._raw({tuple(kept): c})
+            term = _reduced(self._den, {tuple(kept): c})
             out = out + (term if factor is None else term * factor)
         return out
 
@@ -300,7 +339,7 @@ class LaurentPolynomial:
         stays in the ordinary polynomial ring.
         """
         out = {}
-        for m, c in self._terms.items():
+        for m, c in self._num.items():
             d = dict(m)
             e = d.pop(var, 0)
             if e < 0 or e > k:
@@ -308,7 +347,7 @@ class LaurentPolynomial:
             if k - e:
                 d[var] = k - e
             out[tuple(sorted(d.items()))] = c
-        return LaurentPolynomial._raw(out)
+        return _reduced(self._den, out)
 
     def divmod_monic(self, divisor: "LaurentPolynomial", var: str):
         """Quotient and remainder by a divisor monic in ``var``.
@@ -344,12 +383,13 @@ class LaurentPolynomial:
                 vec[index[n]] = e
             return (sum(e for _, e in mono), tuple(vec))
 
-        return sorted(self._terms.items(), key=key, reverse=True)
+        return sorted(self._num.items(), key=key, reverse=True)
 
     def render(self) -> str:
         """Canonical text form: terms by descending total degree, then
         descending lexicographic exponent vector over the sorted symbols."""
-        return self._format(lambda n, e: n if e == 1 else f"{n}^{e}", str, "*")
+        return self._format(lambda n, e: n if e == 1 else f"{n}^{e}",
+                            lambda num, den: f"{num}/{den}" if den != 1 else str(num), "*")
 
     def latex(self) -> str:
         """LaTeX rendering (presentation only, same term order as render)."""
@@ -357,28 +397,27 @@ class LaurentPolynomial:
             base = _latex_symbol(n)
             return base if e == 1 else f"{base}^{{{e}}}"
 
-        def magnitude(mag):
-            if mag.denominator != 1:
-                return f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-            return str(int(mag))
+        def magnitude(num, den):
+            return f"\\frac{{{num}}}{{{den}}}" if den != 1 else str(num)
 
         return self._format(factor, magnitude, " ")
 
     def _format(self, factor, magnitude, sep: str) -> str:
         """The term loop of render and latex: each term is its sign, then its
-        magnitude (left out when it is 1 and the term has symbols) and its
-        factors joined by ``sep``."""
+        magnitude num/den in lowest terms (left out when it is 1 and the
+        term has symbols) and its factors joined by ``sep``."""
         text = ""
-        for mono, coeff in self._sorted_terms():
-            mag = coeff if coeff > 0 else -coeff
+        for mono, v in self._sorted_terms():
+            g = gcd(v, self._den)
+            num, den = abs(v) // g, self._den // g
             parts = [factor(n, e) for n, e in mono]
-            if mag != 1 or not parts:
-                parts.insert(0, magnitude(mag))
+            if num != 1 or den != 1 or not parts:
+                parts.insert(0, magnitude(num, den))
             body = sep.join(parts)
             if not text:
-                text = body if coeff > 0 else f"-{body}"
+                text = body if v > 0 else f"-{body}"
             else:
-                text += f" {'-' if coeff < 0 else '+'} {body}"
+                text += f" {'-' if v < 0 else '+'} {body}"
         return text or "0"
 
     def __str__(self):
@@ -413,7 +452,9 @@ def as_poly(value) -> LaurentPolynomial:
     if isinstance(value, LaurentPolynomial):
         return value
     if _exact(value):
-        return LaurentPolynomial._raw({(): _whole(value)}) if value else ZERO
+        if not value:
+            return ZERO
+        return _reduced(value.denominator, {(): value.numerator})
     raise TypeError(f"cannot interpret {type(value).__name__} as a polynomial")
 
 
@@ -421,7 +462,7 @@ def sym(name: str) -> LaurentPolynomial:
     """The polynomial consisting of the single symbol ``name``."""
     if not _NAME_RE.match(name):
         raise ValueError(f"bad symbol name {name!r}")
-    return LaurentPolynomial._raw({((name, 1),): 1})
+    return _reduced(1, {((name, 1),): 1})
 
 
 def monomial(coeff, **exponents) -> LaurentPolynomial:
@@ -541,7 +582,7 @@ class TruncatedSeries:
         text = ""
         for e in sorted(self._coeffs):
             c = self._coeffs[e]
-            negative = c.term_count() == 1 and next(iter(c.terms().values())) < 0
+            negative = c.term_count() == 1 and next(iter(c._num.values())) < 0
             if negative:
                 c = -c
             p = self.var if e == 1 else power(e)

@@ -319,6 +319,47 @@ def test_ring_axioms(a, b, c):
     assert a - a == ZERO
 
 
+def _fraction_terms(p) -> dict:
+    return {m: Fraction(c) for m, c in p.terms().items()}
+
+
+def _schoolbook(a: dict, b: dict, sign: int = 0) -> dict:
+    """The product of two term maps (or, with ``sign``, the sum a + sign*b)
+    in plain Fraction arithmetic, as an independent reference."""
+    out: dict = {}
+    if sign:
+        for terms, s in ((a, 1), (b, sign)):
+            for m, c in terms.items():
+                out[m] = out.get(m, 0) + s * c
+    else:
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                exps = dict(m1)
+                for n, e in m2:
+                    exps[n] = exps.get(n, 0) + e
+                m = tuple(sorted((n, e) for n, e in exps.items() if e))
+                out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+@settings(max_examples=120, deadline=None)
+@given(polys(), polys())
+def test_arithmetic_matches_fraction_reference(a, b):
+    """Sums and products run on int numerators over a common denominator;
+    their coefficients, equality and hashes must be those of the same
+    values computed term by term in Fraction."""
+    fa, fb = _fraction_terms(a), _fraction_terms(b)
+    for value, expected in ((a * b, _schoolbook(fa, fb)), (a + b, _schoolbook(fa, fb, 1)),
+                            (a - b, _schoolbook(fa, fb, -1))):
+        terms = value.terms()
+        assert terms == expected
+        assert all(type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+                   for c in terms.values())
+        rebuilt = LaurentPolynomial(expected)
+        assert rebuilt == value and hash(rebuilt) == hash(value)
+        assert parse_polynomial(value.render()) == value
+
+
 @settings(max_examples=60, deadline=None)
 @given(polys(), st.integers(0, 5))
 def test_pow_matches_repeated_multiplication(a, n):
