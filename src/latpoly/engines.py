@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import SizeLimit
 from .symbolic import (
@@ -274,18 +274,28 @@ def h_factor(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
     return out
 
 
-def _ratio(q: StripQuery, w: WeightSpec, f) -> tuple:
+@lru_cache(maxsize=1024)
+def _ratio(y_start: int, y_end: int, L: int, w: WeightSpec, ring: str) -> tuple:
     """Numerator and denominator of Viennot's ratio
 
         P_Y' * h * P^(Y+1)_{L-Y} / P_{L+1}
 
-    with every recurrence polynomial P mapped by ``f`` into the ring of the
-    engine, where Y' and Y are the lower and upper of the two boundary
-    heights and h is :func:`h_factor`.  The numerator is zero exactly when
-    h has a zero lambda, a wall between the two heights."""
+    with every recurrence polynomial P mapped into the ring of the engine:
+    by ``reciprocal`` for ``ring`` "x", by ``to_laurent`` with the
+    backgrounds of w for "rho".  Y' and Y are the lower and upper of the two
+    boundary heights and h is :func:`h_factor`.  The ratio does not depend
+    on the path length, so it is built once per endpoint pair, strip,
+    weights and ring, and every t reads the same cached pair.  The
+    numerator is zero exactly when h has a zero lambda, a wall between the
+    two heights."""
+    if ring == "x":
+        f = reciprocal
+    else:
+        f = partial(to_laurent, b=w.background_b, lam=w.background_lambda)
+    q = StripQuery(0, y_start, y_end, L)
     num = f(ortho_poly(q.y_lo, 0, w)) * h_factor(q, w)
-    num = num * f(ortho_poly(q.L - q.y_hi, q.y_hi + 1, w))
-    return num, f(ortho_poly(q.L + 1, 0, w))
+    num = num * f(ortho_poly(L - q.y_hi, q.y_hi + 1, w))
+    return num, f(ortho_poly(L + 1, 0, w))
 
 
 def _x_product(q: StripQuery, w: WeightSpec, e: int,
@@ -294,7 +304,7 @@ def _x_product(q: StripQuery, w: WeightSpec, e: int,
     denominator inverted just far enough to read x^e: the x^e coefficient
     alone, or with ``whole`` every coefficient up to it (all zero when the
     numerator is)."""
-    num, den = _ratio(q, w, reciprocal)
+    num, den = _ratio(q.y_start, q.y_end, q.L, w, "x")
     if num.is_zero:
         return TruncatedSeries("x", {}, e)
     if q.y_hi - q.y_lo:
@@ -352,7 +362,7 @@ def rho_ct(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
     if q.L != w.strip_height:
         raise ValueError(f"query strip L={q.L} != weights strip L={w.strip_height}")
     b, lam = w.background_b, w.background_lambda
-    num, den = _ratio(q, w, lambda p: to_laurent(p, b, lam))
+    num, den = _ratio(q.y_start, q.y_end, q.L, w, "rho")
     if num.is_zero:
         return ZERO
     num = num * ((monomial(lam, rho=-1) - sym("rho")) * _kernel_power(b, lam, q.t))

@@ -1,10 +1,26 @@
 """Exact sparse multivariate Laurent polynomials over the rationals.
 
-A polynomial is a mapping from monomials to coefficients.  A monomial is a
-sorted tuple of (symbol, exponent) pairs with every exponent nonzero; the
-empty tuple is the constant monomial.  Coefficients are exact and zero
-coefficients are never stored, so structural equality of normalized values
-coincides with mathematical equality.  Floats are rejected outright.
+A polynomial is a mapping from monomials to coefficients.  At the boundary
+(the constructor and :meth:`LaurentPolynomial.terms`) a monomial is a
+sorted tuple of (symbol, exponent) pairs with every exponent a nonzero
+``int``; the empty tuple is the constant monomial.  Coefficients are exact
+and zero coefficients are never stored, so structural equality of
+normalized values coincides with mathematical equality.  Floats are
+rejected outright, and so is an exponent that is not an ``int`` (or is a
+``bool``).
+
+Inside, a monomial is packed into one ``int`` key, as in Monagan and
+Pearce's sparse multiplication: each symbol owns a fixed-width field of
+``_FIELD_BITS`` bits, and the key is the sum of exponent << field offset.
+A product of monomials is then one integer addition.  Fields are handed
+out on a symbol's first use by an append-only, lock-guarded slot registry;
+``rho`` owns slot 0, the lowest bits, and is the only signed field.  Every
+polynomial carries a bound on its largest |exponent| (products add the
+bounds, sums take the larger), and an operation whose bound would reach
+``_LIMIT`` raises :class:`SizeLimit` instead of letting an exponent carry
+into the next field.  Keys are decoded back to tuples only at the boundary
+(``terms``, ``symbols``, rendering, ``substitute``), through a bounded
+cache.
 
 One rule holds for every coefficient that :meth:`LaurentPolynomial.terms`
 returns: a value whose denominator is 1 is an ``int``, anything else a
@@ -12,7 +28,8 @@ returns: a value whose denominator is 1 is an ``int``, anything else a
 numerators over one common denominator in lowest terms, which makes the
 held form unique.  Sums and products run integer arithmetic on the
 numerators and reduce once, so whole and non-whole coefficients cost about
-the same; the coefficients themselves are formed when first read.
+the same; the coefficients themselves are formed when first read.  A
+constant polynomial hashes as its value, since it compares equal to it.
 
 Only the distinguished series variable ``rho`` may carry negative exponents.
 All other symbols live in an ordinary polynomial ring; that restriction
@@ -35,6 +52,7 @@ from math import gcd, lcm
 from .errors import (
     NonInvertibleSubstitution,
     NonUnitLeadingCoefficient,
+    SizeLimit,
     TruncationInsufficient,
 )
 
@@ -43,7 +61,84 @@ SERIES_VAR = "rho"
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
-# a monomial is tuple[tuple[str, int], ...]: sorted (symbol, exponent) pairs
+# a monomial is one int key: the exponent of the symbol in slot i, times
+# 2**(_FIELD_BITS * i), summed over the symbols; the constant monomial is 0
+_FIELD_BITS = 32
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+#: every |exponent| stays below this, so no field carries into the next
+_LIMIT = 1 << (_FIELD_BITS - 1)
+
+_NAMES = [SERIES_VAR]         # slot -> symbol, append-only
+_SLOTS = {SERIES_VAR: 0}      # symbol -> slot
+_SLOTS_LOCK = threading.Lock()
+
+
+def _slot(name: str) -> int:
+    """The field of ``name``, handed out on its first use and never moved."""
+    slot = _SLOTS.get(name)
+    if slot is None:
+        with _SLOTS_LOCK:
+            slot = _SLOTS.get(name)
+            if slot is None:
+                slot = len(_NAMES)
+                _NAMES.append(name)
+                _SLOTS[name] = slot
+    return slot
+
+
+def _read_field(keys, slot: int) -> list:
+    """The exponent held in field ``slot`` of each key.  Slot 0 (rho) is
+    signed; adding _LIMIT first undoes the borrow a negative one takes."""
+    if slot:
+        shift = _FIELD_BITS * slot
+        return [((m + _LIMIT) >> shift) & _FIELD_MASK for m in keys]
+    return [((m + _LIMIT) & _FIELD_MASK) - _LIMIT for m in keys]
+
+
+def _checked(bound: int) -> int:
+    if bound >= _LIMIT:
+        raise SizeLimit(f"an exponent could reach {bound}, "
+                        f"past the {_FIELD_BITS}-bit field limit {_LIMIT - 1}")
+    return bound
+
+
+def _encode(mono) -> tuple:
+    """Key and largest |exponent| of (symbol, exponent) pairs; a symbol
+    named twice gets the sum of its exponents."""
+    exps: dict = {}
+    for name, e in mono:
+        if isinstance(e, bool) or not isinstance(e, int):
+            raise TypeError(f"exponent must be an int, got {e!r}")
+        name = str(name)
+        exps[name] = exps.get(name, 0) + e
+    key = bound = 0
+    for name, e in exps.items():
+        if not e:
+            continue
+        if e < 0 and name != SERIES_VAR:
+            raise ValueError(
+                f"negative exponent on {name!r}: only {SERIES_VAR!r} may be negative")
+        if not _NAME_RE.match(name):
+            raise ValueError(f"bad symbol name {name!r}")
+        bound = _checked(max(bound, abs(e)))
+        key += e << (_FIELD_BITS * _slot(name))
+    return key, bound
+
+
+@lru_cache(maxsize=4096)
+def _decode(key: int) -> tuple:
+    """The sorted (symbol, exponent) pairs of a key; the loop jumps from
+    one nonzero field to the next by the lowest set bit."""
+    low, = _read_field((key,), 0)
+    rest = key - low
+    pairs = [(SERIES_VAR, low)] if low else []
+    while rest:
+        slot = ((rest & -rest).bit_length() - 1) // _FIELD_BITS
+        shift = _FIELD_BITS * slot
+        e = (rest >> shift) & _FIELD_MASK
+        pairs.append((_NAMES[slot], e))
+        rest -= e << shift
+    return tuple(sorted(pairs))
 
 
 def _exact(value) -> bool:
@@ -64,10 +159,10 @@ def _coerce_coeff(value) -> int | Fraction:
     raise TypeError(f"exact coefficient required, got {type(value).__name__}")
 
 
-def _reduced(d: int, nums: dict) -> "LaurentPolynomial":
-    """The polynomial nums / d (sorted monomials, nonzero int values),
-    brought to lowest terms; every polynomial but the constructor's is made
-    here."""
+def _reduced(d: int, nums: dict, bound: int) -> "LaurentPolynomial":
+    """The polynomial nums / d (packed keys, nonzero int values, every
+    |exponent| at most ``bound``), brought to lowest terms; every
+    polynomial but the constructor's is made here."""
     if d != 1:
         g = gcd(d, *nums.values())
         if g != 1:
@@ -76,7 +171,8 @@ def _reduced(d: int, nums: dict) -> "LaurentPolynomial":
     p = object.__new__(LaurentPolynomial)
     p._den = d
     p._num = nums
-    p._t = nums if d == 1 else None
+    p._bound = bound
+    p._t = None
     p._hash = None
     return p
 
@@ -98,23 +194,7 @@ def _sum(polys) -> "LaurentPolynomial":
                 out[m] = v
             else:
                 del out[m]
-    return _reduced(D, out)
-
-
-def _mono_mul(m1, m2):
-    """Merge two monomials (exponents add, zeros drop)."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    acc = dict(m1)
-    for name, e in m2:
-        n = acc.get(name, 0) + e
-        if n:
-            acc[name] = n
-        else:
-            del acc[name]
-    return tuple(sorted(acc.items()))
+    return _reduced(D, out, max(p._bound for p in polys))
 
 
 class LaurentPolynomial:
@@ -125,33 +205,30 @@ class LaurentPolynomial:
     mixes freely with int and Fraction operands.
     """
 
-    # the value is _num / _den in lowest terms: _num maps each monomial to a
-    # nonzero int and _den is the least common denominator; _t holds the
-    # coefficients themselves, divided out when first read (_num itself
-    # when _den is 1)
-    __slots__ = ("_den", "_num", "_t", "_hash")
+    # the value is _num / _den in lowest terms: _num maps each packed
+    # monomial key to a nonzero int and _den is the least common
+    # denominator; _bound is at least every |exponent| of every field; _t
+    # holds the terms with decoded monomials, formed when first read
+    __slots__ = ("_den", "_num", "_bound", "_t", "_hash")
 
     def __init__(self, terms=None):
         normalized: dict = {}
+        bound = 0
         for mono, coeff in (terms or {}).items():
             coeff = _coerce_coeff(coeff)
+            key, b = _encode(mono)
             if coeff == 0:
                 continue
-            mono = tuple(sorted((str(n), int(e)) for n, e in mono if e != 0))
-            for name, e in mono:
-                if e < 0 and name != SERIES_VAR:
-                    raise ValueError(
-                        f"negative exponent on {name!r}: only {SERIES_VAR!r} may be negative")
-                if not _NAME_RE.match(name):
-                    raise ValueError(f"bad symbol name {name!r}")
-            normalized[mono] = normalized.get(mono, 0) + coeff
+            bound = max(bound, b)
+            normalized[key] = normalized.get(key, 0) + coeff
         normalized = {m: c for m, c in normalized.items() if c != 0}
         # the least common denominator of reduced fractions leaves the
         # numerators with no factor in common with it: lowest terms
         d = lcm(*[c.denominator for c in normalized.values()])
         self._den = d
         self._num = {m: c.numerator * (d // c.denominator) for m, c in normalized.items()}
-        self._t = self._num if d == 1 else None
+        self._bound = bound
+        self._t = None
         self._hash = None
 
     # -- inspection ---------------------------------------------------------
@@ -161,7 +238,7 @@ class LaurentPolynomial:
         t = self._t
         if t is None:
             d = self._den
-            t = self._t = {m: Fraction(v, d) if v % d else v // d
+            t = self._t = {_decode(m): Fraction(v, d) if v % d else v // d
                            for m, v in self._num.items()}
         return t
 
@@ -178,38 +255,40 @@ class LaurentPolynomial:
         """The value of a constant polynomial, as a Fraction."""
         if not self._num:
             return Fraction(0)
-        if len(self._num) == 1 and () in self._num:
-            return Fraction(self._num[()], self._den)
+        if len(self._num) == 1 and 0 in self._num:
+            return Fraction(self._num[0], self._den)
         raise ValueError(f"not a constant polynomial: {self}")
 
     def symbols(self) -> set:
-        return {name for m in self._num for name, _ in m}
+        return {name for m in self._num for name, _ in _decode(m)}
 
     def term_count(self) -> int:
         return len(self._num)
 
-    def min_exponent(self, var: str) -> int:
+    def _exponents(self, var: str) -> list:
+        """The exponent of ``var`` in each term, read from its field."""
         if not self._num:
             raise ValueError("zero polynomial has no extremal exponent")
-        return min(dict(m).get(var, 0) for m in self._num)
+        slot = _SLOTS.get(var)
+        return [0] if slot is None else _read_field(self._num, slot)
+
+    def min_exponent(self, var: str) -> int:
+        return min(self._exponents(var))
 
     def max_exponent(self, var: str) -> int:
-        if not self._num:
-            raise ValueError("zero polynomial has no extremal exponent")
-        return max(dict(m).get(var, 0) for m in self._num)
+        return max(self._exponents(var))
 
     def split(self, var: str) -> dict:
         """{exponent of var: its coefficient, a polynomial in the other
         symbols}, built in one pass over the terms."""
+        slot = _SLOTS.get(var)
+        if slot is None:
+            return {0: self} if self._num else {}
+        shift = _FIELD_BITS * slot
         parts: dict = {}
-        for m, c in self._num.items():
-            e, rest = 0, m
-            for i, (name, k) in enumerate(m):
-                if name == var:
-                    e, rest = k, m[:i] + m[i + 1:]
-                    break
-            parts.setdefault(e, {})[rest] = c
-        return {e: _reduced(self._den, t) for e, t in parts.items()}
+        for (m, c), e in zip(self._num.items(), _read_field(self._num, slot)):
+            parts.setdefault(e, {})[m - (e << shift)] = c
+        return {e: _reduced(self._den, t, self._bound) for e, t in parts.items()}
 
     def coefficient_of(self, var: str, exponent: int) -> "LaurentPolynomial":
         """Coefficient of var**exponent, as a polynomial in the other symbols."""
@@ -227,7 +306,7 @@ class LaurentPolynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        return _reduced(self._den, {m: -v for m, v in self._num.items()})
+        return _reduced(self._den, {m: -v for m, v in self._num.items()}, self._bound)
 
     def __sub__(self, other):
         return self + (-as_poly(other))
@@ -236,23 +315,25 @@ class LaurentPolynomial:
         return as_poly(other) + (-self)
 
     def __mul__(self, other):
-        # the numerators are multiplied as ints and the product of the
-        # denominators divided out once, so the cost hardly depends on
-        # whether the coefficients are whole
+        # packed monomials multiply by adding their keys; the numerators are
+        # multiplied as ints and the product of the denominators divided out
+        # once, so the cost hardly depends on whether coefficients are whole
         other = as_poly(other)
+        bound = _checked(self._bound + other._bound)
         a, b = self._num, other._num
         if len(a) > len(b):
             a, b = b, a
         out: dict = {}
+        get = out.get
         for m1, c1 in a.items():
             for m2, c2 in b.items():
-                m = _mono_mul(m1, m2)
-                v = out.get(m, 0) + c1 * c2
+                m = m1 + m2
+                v = get(m, 0) + c1 * c2
                 if v:
                     out[m] = v
                 elif m in out:
                     del out[m]
-        return _reduced(self._den * other._den, out)
+        return _reduced(self._den * other._den, out, bound)
 
     __rmul__ = __mul__
 
@@ -280,11 +361,20 @@ class LaurentPolynomial:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self._den, frozenset(self._num.items())))
+            num = self._num
+            if len(num) > 1 or (num and 0 not in num):
+                self._hash = hash((self._den, frozenset(num.items())))
+            else:
+                # a constant equals its value, so it hashes as that value
+                self._hash = hash(Fraction(num.get(0, 0), self._den))
         return self._hash
 
     def __bool__(self):
         return bool(self._num)
+
+    def __reduce__(self):
+        # slots differ from process to process, so a pickle holds the terms
+        return LaurentPolynomial, (self.terms(),)
 
     # -- structural operations ----------------------------------------------
 
@@ -320,15 +410,14 @@ class LaurentPolynomial:
 
         out = ZERO
         for m, c in self._num.items():
-            kept = []
+            kept = m
             factor = None
-            for name, e in m:
+            for name, e in _decode(m):
                 if name in bound:
                     f = bound_power(name, e)
                     factor = f if factor is None else factor * f
-                else:
-                    kept.append((name, e))
-            term = _reduced(self._den, {tuple(kept): c})
+                    kept -= e << (_FIELD_BITS * _SLOTS[name])
+            term = _reduced(self._den, {kept: c}, self._bound)
             out = out + (term if factor is None else term * factor)
         return out
 
@@ -338,16 +427,15 @@ class LaurentPolynomial:
         Requires 0 <= e <= k for every exponent of ``var`` so the result
         stays in the ordinary polynomial ring.
         """
+        slot = _slot(var)
+        shift = _FIELD_BITS * slot
+        bound = _checked(max(self._bound, k))
         out = {}
-        for m, c in self._num.items():
-            d = dict(m)
-            e = d.pop(var, 0)
+        for (m, c), e in zip(self._num.items(), _read_field(self._num, slot)):
             if e < 0 or e > k:
                 raise ValueError(f"exponent {e} of {var!r} outside [0, {k}]")
-            if k - e:
-                d[var] = k - e
-            out[tuple(sorted(d.items()))] = c
-        return _reduced(self._den, out)
+            out[m + ((k - 2 * e) << shift)] = c
+        return _reduced(self._den, out, bound)
 
     def divmod_monic(self, divisor: "LaurentPolynomial", var: str):
         """Quotient and remainder by a divisor monic in ``var``.
@@ -373,7 +461,9 @@ class LaurentPolynomial:
     # -- rendering ------------------------------------------------------------
 
     def _sorted_terms(self):
-        names = sorted(self.symbols())
+        """(monomial tuple, numerator) pairs in rendering order."""
+        items = [(_decode(m), v) for m, v in self._num.items()]
+        names = sorted({n for mono, _ in items for n, _ in mono})
         index = {n: i for i, n in enumerate(names)}
 
         def key(item):
@@ -383,7 +473,7 @@ class LaurentPolynomial:
                 vec[index[n]] = e
             return (sum(e for _, e in mono), tuple(vec))
 
-        return sorted(self._num.items(), key=key, reverse=True)
+        return sorted(items, key=key, reverse=True)
 
     def render(self) -> str:
         """Canonical text form: terms by descending total degree, then
@@ -454,7 +544,7 @@ def as_poly(value) -> LaurentPolynomial:
     if _exact(value):
         if not value:
             return ZERO
-        return _reduced(value.denominator, {(): value.numerator})
+        return _reduced(value.denominator, {0: value.numerator}, 0)
     raise TypeError(f"cannot interpret {type(value).__name__} as a polynomial")
 
 
@@ -462,7 +552,7 @@ def sym(name: str) -> LaurentPolynomial:
     """The polynomial consisting of the single symbol ``name``."""
     if not _NAME_RE.match(name):
         raise ValueError(f"bad symbol name {name!r}")
-    return _reduced(1, {((name, 1),): 1})
+    return _reduced(1, {1 << (_FIELD_BITS * _slot(name)): 1}, 1)
 
 
 def monomial(coeff, **exponents) -> LaurentPolynomial:

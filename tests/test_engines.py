@@ -29,6 +29,7 @@ from latpoly import (
     transfer_matrix,
     viennot_ct,
 )
+from latpoly.engines import _ratio
 from util import (
     BACKGROUND_B_POOL,
     BACKGROUND_L_POOL,
@@ -210,6 +211,35 @@ def test_rho_ct_deep_t_matches_transfer_matrix():
                 for t in (20, 30):
                     q = StripQuery(t, y0, y1, L)
                     assert rho_ct(q, w) == transfer_matrix(q, w), q.label()
+
+
+def test_ratio_cache_is_history_independent():
+    """Viennot's ratio is cached per endpoint pair, strip, weights and ring,
+    never per t: every t order and a cleared cache give the same values."""
+    w = WeightSpec(3, Fraction(1, 2), -2, across={0: sym("beta")}, down={3: sym("kappa")})
+    pairs = ((0, 0), (0, 3), (2, 1), (3, 0))
+    ts = range(8)
+
+    def run(order):
+        out = {}
+        for y0, y1 in pairs:
+            for t in order:
+                q = StripQuery(t, y0, y1, 3)
+                gf = generating_function(y0, y1, 3, w, t).coefficient(t)
+                out[y0, y1, t] = (viennot_ct(q, w), rho_ct(q, w), gf)
+        return out
+
+    _ratio.cache_clear()
+    rising = run(ts)
+    # one x ratio and one rho ratio per pair, read by every t and engine
+    assert _ratio.cache_info().misses == 2 * len(pairs)
+    falling = run(ts[::-1])
+    _ratio.cache_clear()
+    fresh = run(ts[::-1])
+    assert rising == falling == fresh
+    for (y0, y1, t), values in rising.items():
+        expected = transfer_matrix(StripQuery(t, y0, y1, 3), w)
+        assert values == (expected,) * 3, (y0, y1, t)
 
 
 def test_generating_function_examples():

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import pickle
+import subprocess
 import sys
 import threading
+from pathlib import Path
 from fractions import Fraction
 from math import comb
 
@@ -15,6 +19,7 @@ from latpoly import (
     NonInvertibleSubstitution,
     NonUnitLeadingCoefficient,
     ONE,
+    SizeLimit,
     TruncatedSeries,
     TruncationInsufficient,
     ZERO,
@@ -25,7 +30,7 @@ from latpoly import (
     series_invert,
     sym,
 )
-from latpoly.symbolic import _inverse_state, _inversion_order
+from latpoly.symbolic import _NAMES as _slot_names, _inverse_state, _inversion_order
 
 RHO = sym("rho")
 X = sym("x")
@@ -389,6 +394,26 @@ def test_hash_consistency():
     assert hash(as_poly(2)) == hash(LaurentPolynomial({(): Fraction(2)}))
 
 
+def test_constant_hashes_as_its_value():
+    # a constant polynomial compares equal to its value, so it must hash
+    # as that value too, or sets and dict lookups split equal keys
+    for poly, value in ((ZERO, 0), (ONE, 1), (as_poly(Fraction(1, 2)), Fraction(1, 2))):
+        assert poly == value and hash(poly) == hash(value)
+    assert len({1, ONE}) == 1 and len({0, ZERO}) == 1
+    assert {ONE: "a"}.get(1) == "a"
+    assert {Fraction(1, 2): "h"}.get(as_poly(Fraction(1, 2))) == "h"
+
+
+def test_non_int_exponent_refused():
+    for make in (lambda: monomial(1, x=2.5), lambda: monomial(1, x=True),
+                 lambda: monomial(1, rho=Fraction(-2)),
+                 lambda: LaurentPolynomial({(("x", "3"),): 1}),
+                 lambda: LaurentPolynomial({(("x", 0.0),): 1})):
+        with pytest.raises(TypeError):
+            make()
+    assert monomial(1, x=2) == X ** 2
+
+
 # -- the cached, order-extendable inverse and single-coefficient products -----
 
 @st.composite
@@ -476,3 +501,118 @@ def test_series_invert_shared_across_threads():
     finally:
         sys.setswitchinterval(interval)
     assert failures == []
+
+
+# -- packed monomials -----------------------------------------------------------
+
+# registered before any symbol of the packing tests, so those get high slots
+for _i in range(40):
+    sym(f"pad{_i}")
+_WIDE = 2 ** 30 - 1   # two such exponents still add up below the field limit
+
+
+@st.composite
+def packed_polys(draw):
+    """Polynomials whose rho exponents reach far below zero beside symbols
+    in high slots with large exponents, so the signed field borrows."""
+    names = ("rho", "x", "hi_a", "hi_b")
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        mono = []
+        for name in names:
+            lo = -_WIDE if name == "rho" else 0
+            e = draw(st.one_of(st.integers(-2 if name == "rho" else 0, 2),
+                               st.integers(lo, _WIDE)))
+            mono.append((name, e))
+        coeff = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+        key = tuple(draw(st.permutations(mono)))
+        terms[key] = terms.get(key, 0) + coeff
+    return LaurentPolynomial(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_polys(), packed_polys())
+def test_packed_arithmetic_matches_tuple_merge(a, b):
+    """Products and sums of packed monomials equal the tuple-merge
+    reference, and terms() gives back sorted tuples that rebuild the value."""
+    fa, fb = _fraction_terms(a), _fraction_terms(b)
+    for value, expected in ((a * b, _schoolbook(fa, fb)), (a + b, _schoolbook(fa, fb, 1)),
+                            (a - b, _schoolbook(fa, fb, -1))):
+        terms = value.terms()
+        assert terms == expected
+        for mono in terms:
+            assert list(mono) == sorted(mono)
+            assert all(type(e) is int and e for _, e in mono)
+        assert LaurentPolynomial(terms) == value
+        assert value.symbols() == {n for mono in expected for n, _ in mono}
+        if not value.is_zero:
+            rho = [dict(m).get("rho", 0) for m in expected]
+            assert (value.min_exponent("rho"), value.max_exponent("rho")) == (min(rho), max(rho))
+            assert sorted(value.split("rho")) == sorted(set(rho))
+
+
+def test_exponent_past_the_field_refused():
+    with pytest.raises(SizeLimit):
+        sym("x") ** (2 ** 40)
+    with pytest.raises(SizeLimit):
+        monomial(1, rho=-(2 ** 40))
+    with pytest.raises(SizeLimit):
+        monomial(1, x=2 ** 30) * monomial(1, x=2 ** 30)
+    top = monomial(1, x=2 ** 30 - 1) * monomial(1, x=2 ** 30, rho=-(2 ** 30 - 1))
+    assert top.terms() == {(("rho", -(2 ** 30 - 1)), ("x", 2 ** 31 - 1)): 1}
+
+
+def test_product_over_many_symbols_is_exact():
+    names = [f"many{i}" for i in range(320)]
+    m = monomial(3, rho=-3)
+    for i, name in enumerate(names):
+        m = m * sym(name) ** (i % 5 + 1)
+    expected = (("rho", -3),) + tuple(sorted((n, i % 5 + 1) for i, n in enumerate(names)))
+    assert m.terms() == {tuple(sorted(expected)): 3}
+    assert (m + 1) * (m - 1) == m * m - 1
+    assert m.substitute(dict.fromkeys(names, 2)) == monomial(
+        3 * 2 ** sum(i % 5 + 1 for i in range(320)), rho=-3)
+    assert parse_polynomial(m.render()) == m
+
+
+def test_pickle_survives_another_slot_order():
+    # the loading process hands out its slots in another order
+    value = sym("pickled_b") ** 2 * monomial(Fraction(1, 3), rho=-2) + sym("pickled_a")
+    code = ("import pickle, sys; from latpoly import sym; sym('pickled_a'); "
+            "print(pickle.loads(sys.stdin.buffer.read()).render())")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(value),
+                         capture_output=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.decode().strip() == value.render()
+    assert pickle.loads(pickle.dumps(value)) == value
+
+
+def test_slot_registration_across_threads():
+    """Eight threads meet every new symbol at once: each must get one slot,
+    and the values the threads build must be equal."""
+    names = [f"thread_sym{i}" for i in range(2000)]
+    built = [[] for _ in range(8)]
+    start = threading.Barrier(8)
+
+    def worker(k):
+        start.wait()
+        for name in names:
+            built[k].append(sym(name) * monomial(1, rho=-1) + X)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(_slot_names) == len(set(_slot_names))
+    for i, name in enumerate(names):
+        expected = {(("rho", -1), (name, 1)): 1, (("x", 1),): 1}
+        for results in built:
+            assert results[i].terms() == expected
+            assert results[i] == built[0][i]
