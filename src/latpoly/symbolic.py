@@ -467,11 +467,12 @@ class LaurentPolynomial:
         index = {n: i for i, n in enumerate(names)}
 
         def key(item):
-            mono, _ = item
             vec = [0] * len(names)
-            for n, e in mono:
+            degree = 0
+            for n, e in item[0]:
                 vec[index[n]] = e
-            return (sum(e for _, e in mono), tuple(vec))
+                degree += e
+            return degree, vec
 
         return sorted(items, key=key, reverse=True)
 
