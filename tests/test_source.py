@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import latpoly
@@ -57,3 +58,25 @@ def test_bench_pairs_reads_a_benchmark_run():
     # the record summarizes every end-to-end metric the benchmark declares
     declared = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
     assert set(run["metrics"]) == {m["name"] for m in declared}
+
+
+def test_bench_pairs_lets_run_write_bytecode(monkeypatch):
+    # both checkouts of a record must read their set-up from bytecode caches
+    # that run.py wrote, whatever the calling shell says
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("bench_pairs",
+                                                  root / "tools" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    seen = {}
+
+    def fake_run(cmd, **kwargs):
+        seen.update(kwargs["env"])
+        out = ('{"meta": {"commit": null, "dirty": null, "host_slowdown": 1.0}}\n'
+               '{"attempted": 1, "failed": 0, "metrics": {}}')
+        return subprocess.CompletedProcess(cmd, 0, out, "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    bench_pairs._run(root, "closed", 1, 0)
+    assert seen and "PYTHONDONTWRITEBYTECODE" not in seen

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -29,10 +30,14 @@ SIDES = ("parent", "change")
 def _run(root: Path, workload: str, seed: int, seconds: float, *flags: str) -> dict:
     """One untraced benchmark run, with any further run.py ``flags``; its
     last stdout line is the result, and an earlier one the metadata."""
+    # run.py's first worker writes the bytecode caches that its set-up
+    # probes then read; were writing switched off, a checkout holding caches
+    # from elsewhere would read a faster set-up than one without
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     proc = subprocess.run(
         [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0", *flags],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     if proc.returncode:
         raise RuntimeError(f"{root} {workload} seed {seed} exited "
                            f"{proc.returncode}: {proc.stderr.strip()}")
