@@ -20,12 +20,18 @@ summand vanishes outside the support of its binomial factors, which yields
 finite ranges derived below.  One extra layer beyond the derived range is
 always evaluated and checked to be zero, so a wrong bound fails loudly
 instead of truncating silently.
+
+Each sum builds every binomial triple and every power it uses once per
+call (:class:`_Powers` grows a power by one product from the one below),
+gathers a layer's pieces in a list and adds them in one dict with
+:func:`~latpoly.symbolic._sum`; a guard is checked on its summed layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, inf
 
 from .errors import GuardViolation, IndexOutOfRange, InsufficientWeights
@@ -33,6 +39,7 @@ from .symbolic import (
     LaurentPolynomial,
     ONE,
     ZERO,
+    _sum,
     as_poly,
     constant_term_ratio,
     monomial,
@@ -61,10 +68,36 @@ def extended_catalan(n: int, k: int) -> int:
     return binom(2 * n, k) - binom(2 * n, k - 1)
 
 
+class _Powers:
+    """base**0, base**1, ... of one polynomial, each built once, by one
+    product from the power below it."""
+
+    __slots__ = ("_base", "_pw")
+
+    def __init__(self, base):
+        self._base = base
+        self._pw = [ONE]
+
+    def __getitem__(self, e: int) -> LaurentPolynomial:
+        if e < 0:
+            raise ValueError(f"polynomial power requires a nonnegative integer, got {e}")
+        pw = self._pw
+        while len(pw) <= e:
+            pw.append(pw[-1] * self._base)
+        return pw[e]
+
+
 def _check_guard(value, what: str) -> None:
     """A guard layer lies past a derived support bound, so it must be zero."""
     if value:
         raise GuardViolation(f"{what} must vanish, got {value}")
+
+
+def _last_m_layer(r: int, width: int) -> int:
+    """Last layer of an m sum that can be nonzero: each term of layer m
+    needs m * width <= r + 1, where width is L in :func:`dmr_sum` and
+    L - 2 in :func:`four_weight_sum`."""
+    return (r + 1) // width
 
 
 def _coerce_value(value) -> LaurentPolynomial:
@@ -195,21 +228,27 @@ def dmr_sum(p: DmrParams) -> LaurentPolynomial:
     s1, s2 <= m that bounds m by (r+1)/L and, per (m, s1, s2), bounds
     p1 + p2 by r + 1 + s1 + s2 - (L+2)m.  The sums run one layer past
     those bounds and the extra layer is checked to be zero.
+
+    Each power of kappa_hat and omega_hat is built once per call, each
+    piece's rational factor is one Fraction, and each layer (the single
+    sum, an m layer, its guard diagonal) is summed in one dict; a guard
+    is checked on its summed layer.
     """
     r, L = p.r, p.L
-    total = ZERO
+    kh, oh = _Powers(_KH), _Powers(_OH)
+    pieces = []
     # single sum over m >= 0: support of C_{r; r-m} ends at m = r
     for m in range(0, r + 2):
         term = extended_catalan(r, r - m)
         if m == r + 1:
             _check_guard(term, "guard layer of the single sum")
         if term:
-            total = total + term * _KH ** m
+            pieces.append(term * kh[m])
+    layers = [_sum(pieces)]
 
-    m_max = (r + 1) // L
+    m_max = _last_m_layer(r, L)
     for m in range(1, m_max + 2):
-        layer = ZERO
-        p_guard = ZERO
+        pieces, guard = [], []
         for s1 in range(0, m + 1):
             for s2 in range(0, m + 1):
                 sign = -1 if (s1 + s2) % 2 else 1
@@ -225,22 +264,21 @@ def dmr_sum(p: DmrParams) -> LaurentPolynomial:
                         c_high = extended_catalan(r, r - k)
                         if not c_low and not c_high:
                             continue
-                        coeff = (Fraction(pref)
-                                 * binom(m - 1 + p1, p1) * binom(m + p2, p2)
-                                 * (Fraction(c_low)
-                                    - Fraction(m - s2, m + p2) * c_high))
+                        # pref * binomials * (c_low - (m - s2)/(m + p2) * c_high)
+                        coeff = Fraction(
+                            pref * binom(m - 1 + p1, p1) * binom(m + p2, p2)
+                            * (c_low * (m + p2) - (m - s2) * c_high),
+                            m + p2)
                         if not coeff:
                             continue
-                        piece = coeff * (_KH ** (s2 + p2)) * (_OH ** (s1 + p1))
-                        if p1 + p2 == p_cap:
-                            p_guard = p_guard + piece
-                        else:
-                            layer = layer + piece
-        _check_guard(p_guard, "guard diagonal of the p sums")
+                        piece = coeff * kh[s2 + p2] * oh[s1 + p1]
+                        (guard if p1 + p2 == p_cap else pieces).append(piece)
+        _check_guard(_sum(guard), "guard diagonal of the p sums")
+        layer = _sum(pieces)
         if m == m_max + 1:
             _check_guard(layer, "guard layer of the m sum")
-        total = total + layer
-    return total.substitute(p._output_substitution())
+        layers.append(layer)
+    return _sum(layers).substitute(p._output_substitution())
 
 
 def four_weight_ct(p: FourWeightParams) -> LaurentPolynomial:
@@ -292,30 +330,40 @@ def four_weight_sum(p: FourWeightParams) -> LaurentPolynomial:
     m and the v directions.  The second piece of the bracket is skipped
     when its binomial prefactor vanishes; that is exactly what keeps the
     exponent of (kappa_hat_1 + kappa_hat_2) nonnegative.
+
+    Each binomial triple (one per u, through ``_inner_triple``) and each
+    power of kappa_hat_1 + kappa_hat_2, omega_hat_1 + omega_hat_2,
+    kappa_hat_2 and omega_hat_2 is built once per call, and each layer
+    (an i layer, an m layer, its guard diagonal) is summed in one dict; a
+    guard is checked on its summed layer.
     """
     r, L = p.r, p.L
-    kh12 = _KH1 + _KH2
-    oh12 = _OH1 + _OH2
-    total = ZERO
+    kh12, oh12 = _Powers(_KH1 + _KH2), _Powers(_OH1 + _OH2)
+    kh2, oh2 = _Powers(_KH2), _Powers(_OH2)
+    # one table per call; _inner_triple is looked up when it runs, so a
+    # test may replace it
+    triple = lru_cache(maxsize=None)(lambda u: _inner_triple(u, r))
+    layers = []
 
     # double sum: support ends at i = r since u0 = r + 2i - j >= r + i
     for i in range(0, r + 2):
-        layer = ZERO
+        pieces = []
         for j in range(0, i + 1):
-            triple = _inner_triple(r + 2 * i - j, r)
-            if triple.is_zero:
-                continue
-            layer = layer + (binom(i, j) * kh12 ** j * _KH2 ** (i - j)) * triple
+            t = triple(r + 2 * i - j)
+            if not t.is_zero:
+                pieces.append(binom(i, j) * kh12[j] * kh2[i - j] * t)
+        layer = _sum(pieces)
         if i == r + 1:
             _check_guard(layer, "guard layer of the double sum")
-        total = total + layer
+        layers.append(layer)
 
-    m_max = (r + 1) // (L - 2)
+    m_max = _last_m_layer(r, L - 2)
     for m in range(1, m_max + 2):
-        m_layer = ZERO
-        v_guard = ZERO
+        pieces, guard = [], []
         v_cap = max(r + 1 - m * (L - 2), -1) + 1  # one guard diagonal
         for s1 in range(0, m + 1):
+            c1_s = binom(m, s1)
+            c2_s = binom(m - 1, s1)
             for i1 in range(0, s1 + 1):
                 for s2 in range(0, m + 1):
                     b_s2 = binom(m, s2)
@@ -325,49 +373,43 @@ def four_weight_sum(p: FourWeightParams) -> LaurentPolynomial:
                         if base == 0:
                             continue
                         for v1 in range(0, v_cap + 1):
+                            c1 = c1_s * binom(v1 + m, m)
+                            c2 = c2_s * binom(v1 + m - 1, m - 1)
                             for v2 in range(0, v_cap - v1 + 1):
                                 b_v2 = binom(v2 + m - 1, m - 1)
                                 if b_v2 == 0:
                                     continue
                                 u1 = (r + m * L + v1 + v2 + s1 + s2
                                       - 2 * i1 - 2 * i2)
-                                on_guard = v1 + v2 == v_cap
-                                acc = ZERO
+                                out = guard if v1 + v2 == v_cap else pieces
                                 for j1 in range(0, v1 + 1):
                                     bj1 = binom(v1, j1)
+                                    e1 = m + v1 - s1 - j1
                                     for j2 in range(0, v2 + 1):
                                         u = u1 + j1 + j2
-                                        piece1 = _inner_triple(u, r)
-                                        piece2 = _inner_triple(2 * r - 1 - u, r)
+                                        piece1 = triple(u)
+                                        piece2 = triple(2 * r - 1 - u)
                                         if piece1.is_zero and piece2.is_zero:
                                             continue
                                         pref = base * bj1 * binom(v2, j2) * b_v2
                                         if pref == 0:
                                             continue
-                                        common = (pref
-                                                  * _KH2 ** (i1 + j1)
-                                                  * _OH2 ** (i2 + j2)
-                                                  * oh12 ** (m + v2 - s2 - j2))
-                                        e1 = m + v1 - s1 - j1
-                                        c1 = binom(m, s1) * binom(v1 + m, m)
+                                        common = (kh2[i1 + j1] * oh2[i2 + j2]
+                                                  * oh12[m + v2 - s2 - j2])
                                         if c1 and not piece1.is_zero:
-                                            acc = acc + (
-                                                common * c1 * kh12 ** e1 * piece1)
-                                        c2 = binom(m - 1, s1) * binom(v1 + m - 1, m - 1)
+                                            out.append(pref * c1 * common
+                                                       * kh12[e1] * piece1)
                                         if c2 and not piece2.is_zero:
                                             # c2 != 0 forces s1 <= m-1, so the
                                             # exponent e1 - 1 is nonnegative
-                                            acc = acc - (
-                                                common * c2 * kh12 ** (e1 - 1) * piece2)
-                                if on_guard:
-                                    v_guard = v_guard + acc
-                                else:
-                                    m_layer = m_layer + acc
-        _check_guard(v_guard, "guard diagonal of the v sums")
+                                            out.append(-pref * c2 * common
+                                                       * kh12[e1 - 1] * piece2)
+        _check_guard(_sum(guard), "guard diagonal of the v sums")
+        layer = _sum(pieces)
         if m == m_max + 1:
-            _check_guard(m_layer, "guard layer of the m sum")
-        total = total + m_layer
-    return total.substitute(p._output_substitution())
+            _check_guard(layer, "guard layer of the m sum")
+        layers.append(layer)
+    return _sum(layers).substitute(p._output_substitution())
 
 
 def _coerce_kappas(kappas) -> list:
@@ -398,13 +440,18 @@ def stratified_weight(n: int, l: int, kappas) -> LaurentPolynomial:
     if len(kappas) < l + 1:
         raise InsufficientWeights(
             f"stratum {l} needs {l + 1} down weights, got {len(kappas)}")
+    return _stratum(n, l, [_Powers(k) for k in kappas[:l + 1]])
+
+
+def _stratum(n: int, l: int, powers: list) -> LaurentPolynomial:
+    """:func:`stratified_weight` for 0 <= l < n, reading kappa_i**e as
+    powers[i-1][e]; the chains' terms are summed in one dict."""
     if l == 0:
-        return kappas[0] ** n
-    total = ZERO
+        return powers[0][n]
+    pieces = []
     chain = [n] + [0] * (l + 1)  # chain[0] = j_0 = n, chain[l+1] = 0
 
     def descend(depth: int):
-        nonlocal total
         if depth > l:
             coeff = 1
             for k in range(l):
@@ -416,8 +463,8 @@ def stratified_weight(n: int, l: int, kappas) -> LaurentPolynomial:
             for k in range(l + 1):
                 e = chain[k] - chain[k + 1]
                 if e:
-                    term = term * kappas[k] ** e
-            total = total + term
+                    term = term * powers[k][e]
+            pieces.append(term)
             return
         lo = l + 1 - depth
         for j in range(lo, chain[depth - 1]):
@@ -426,13 +473,14 @@ def stratified_weight(n: int, l: int, kappas) -> LaurentPolynomial:
         chain[depth] = 0
 
     descend(1)
-    return total
+    return _sum(pieces)
 
 
 def rogers(n: int, L, kappas) -> LaurentPolynomial:
     """Weight polynomial of all length-2n Dyck paths in a strip of height L
     (L may be None or infinity for the half plane), as the sum of the
-    maximum-height strata.  Needs min(n, L) down weights."""
+    maximum-height strata.  Needs min(n, L) down weights.  The kappas are
+    coerced once and each of their powers is built once, for every stratum."""
     if n < 0:
         raise ValueError(f"half-length must be nonnegative, got {n}")
     if n == 0:
@@ -447,10 +495,8 @@ def rogers(n: int, L, kappas) -> LaurentPolynomial:
     if len(kappas) < l_max + 1:
         raise InsufficientWeights(
             f"need {l_max + 1} down weights, got {len(kappas)}")
-    total = ZERO
-    for l in range(l_max + 1):
-        total = total + stratified_weight(n, l, kappas)
-    return total
+    powers = [_Powers(k) for k in kappas]  # shared by the strata
+    return _sum([_stratum(n, l, powers) for l in range(l_max + 1)])
 
 
 def rogers_weight_spec(L: int, kappas) -> WeightSpec:

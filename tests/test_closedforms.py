@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -37,6 +38,17 @@ from latpoly import (
 )
 
 KAPPAS = [f"kappa_{i}" for i in range(1, 9)]
+# decoration values as the closed benchmark draws them: never 0 or 1
+RATIONALS = [Fraction(1, 2), Fraction(3, 2), Fraction(2, 3), Fraction(-1)]
+
+
+def _decorations(symbols, case: int) -> list:
+    """Half of the symbols (rounded up) kept, the rest replaced by rationals;
+    which half and which rationals turn with the case number."""
+    k = len(symbols)
+    kept = {(case + 2 * i) % k for i in range((k + 1) // 2)}
+    return [name if i in kept else RATIONALS[(case + i) % len(RATIONALS)]
+            for i, name in enumerate(symbols)]
 
 
 def test_extended_catalan_examples():
@@ -65,6 +77,12 @@ def test_dmr_triple_equality_small():
             sm = dmr_sum(p)
             bf = brute_force(StripQuery(2 * r, 0, 0, L), p.weight_spec())
             assert ct == sm == bf, (r, L)
+
+
+def test_dmr_sum_equals_ct_mixed_decorations():
+    for case, (L, r) in enumerate((L, r) for L in (2, 3, 4, 5) for r in range(0, 9)):
+        p = DmrParams(r, L, *_decorations(["kappa", "omega"], case))
+        assert dmr_sum(p) == dmr_ct(p), (r, L, p.kappa, p.omega)
 
 
 def test_dmr_rational_values():
@@ -130,6 +148,42 @@ def test_four_weight_guard_raises(monkeypatch):
         four_weight_sum(FourWeightParams(2, 4))
 
 
+def test_dmr_p_diagonal_guard_raises(monkeypatch):
+    # C(r; -2) is read only where k = r + 1: on the guard diagonal of the p
+    # sums, never in the single sum
+    exact = closedforms.extended_catalan
+    monkeypatch.setattr(closedforms, "extended_catalan",
+                        lambda n, k: 1 if k == -2 else exact(n, k))
+    with pytest.raises(GuardViolation, match="guard diagonal of the p sums"):
+        dmr_sum(DmrParams(2, 3))
+
+
+def test_dmr_m_layer_guard_raises(monkeypatch):
+    # one m layer too few: the last real layer becomes the guard layer
+    exact = closedforms._last_m_layer
+    monkeypatch.setattr(closedforms, "_last_m_layer", lambda r, w: exact(r, w) - 1)
+    with pytest.raises(GuardViolation, match="guard layer of the m sum"):
+        dmr_sum(DmrParams(4, 2))
+
+
+def test_four_weight_v_diagonal_guard_raises(monkeypatch):
+    # a triple at u < -2 is read only as the second piece, where u > 2r + 1:
+    # on the guard diagonal of the v sums, never in the double sum
+    exact = closedforms._inner_triple
+    monkeypatch.setattr(closedforms, "_inner_triple",
+                        lambda u, r: ONE if u < -2 else exact(u, r))
+    with pytest.raises(GuardViolation, match="guard diagonal of the v sums"):
+        four_weight_sum(FourWeightParams(2, 4))
+
+
+def test_four_weight_m_layer_guard_raises(monkeypatch):
+    # as for dmr; at r = 4, L = 5 the last layer below the bound is nonzero
+    exact = closedforms._last_m_layer
+    monkeypatch.setattr(closedforms, "_last_m_layer", lambda r, w: exact(r, w) - 1)
+    with pytest.raises(GuardViolation, match="guard layer of the m sum"):
+        four_weight_sum(FourWeightParams(4, 5))
+
+
 def test_four_weight_anchor_values():
     assert four_weight_ct(FourWeightParams(0, 4)) == ONE
     k1, k2 = sym("kappa_1"), sym("kappa_2")
@@ -146,6 +200,13 @@ def test_four_weight_triple_equality_small():
             sm = four_weight_sum(p)
             bf = brute_force(StripQuery(2 * r, 0, 0, L), p.weight_spec())
             assert ct == sm == bf, (r, L)
+
+
+def test_four_weight_sum_equals_ct_mixed_decorations():
+    names = ["kappa_1", "kappa_2", "omega_1", "omega_2"]
+    for case, (L, r) in enumerate((L, r) for L in (4, 5, 6) for r in range(0, 7)):
+        p = FourWeightParams(r, L, *_decorations(names, case))
+        assert four_weight_sum(p) == four_weight_ct(p), (r, L)
 
 
 def test_four_weight_reduces_to_dmr():
@@ -183,6 +244,14 @@ def test_rogers_matches_brute():
             w = rogers_weight_spec(L, KAPPAS)
             bf = brute_force(StripQuery(2 * n, 0, 0, L), w)
             assert rogers(n, L, KAPPAS) == bf, (n, L)
+
+
+def test_rogers_matches_brute_mixed_decorations():
+    for L in (3, 5):
+        for n in range(1, 9):
+            kappas = _decorations(KAPPAS[:min(n, L)], n)
+            w = rogers_weight_spec(L, kappas)
+            assert rogers(n, L, kappas) == brute_force(StripQuery(2 * n, 0, 0, L), w), (n, L)
 
 
 def test_rogers_half_plane_equivalent():
