@@ -208,12 +208,15 @@ def _model_jobs(args, var, values):
         if key in params:
             raise ValueError(f"--sweep {var} takes no --param {key}")
         points = [(var, key, v) for v in values]
+        made = {}
     else:
-        top = getattr(cls(**params), half)
+        model = cls(**params)
+        top = getattr(model, half)
+        made = {top: model}
         grid = range(top + 1) if args.mode == "crosscheck" else [top]
         points = [("r", half, v) for v in grid]
     for var, key, value in points:
-        model = cls(**{**params, key: value})
+        model = made.get(value) or cls(**{**params, key: value})
         w = model.weight_spec()
         q = StripQuery(2 * getattr(model, half), 0, 0, w.strip_height)
         yield f"model={args.model};{var}={value}", q, w, model

@@ -3,17 +3,18 @@
 Three weight families, each with two independent evaluations:
 
 * two boundary weights (one decorated down step at each wall, heights 1
-  and L): a constant-term ratio in rho, and an equivalent 5-fold binomial
-  sum over extended Catalan numbers,
+  and L): a constant term in rho, and an equivalent 5-fold binomial sum
+  over extended Catalan numbers,
 * four boundary weights (two decorated rows at each wall, heights 1, 2,
-  L-1, L): a constant-term ratio and a 9-fold sum,
+  L-1, L): a constant term and a 9-fold sum,
 * the nested-sum formula of Rogers type for arbitrarily many down weights,
   stratified by the exact maximum height a path attains.
 
-Internally the two-wall families compute with the hatted differences
-kappa_hat = kappa - 1, omega_hat = omega - 1 (those keep the intermediate
-polynomials sparse) and substitute the user's symbols or rationals only at
-output.
+The constant terms are the paper's constant-term theorem, through cuts at
+the decorations (:func:`~latpoly.engines.cheb_ct`).  Only the sums use the
+hatted differences kappa_hat = kappa - 1, omega_hat = omega - 1 (those keep
+their intermediate polynomials sparse), substituting the user's symbols or
+rationals at output.
 
 The outer sums of the binomial expansions are infinite as written; each
 summand vanishes outside the support of its binomial factors, which yields
@@ -34,20 +35,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, inf
 
+from .engines import StripQuery, cheb_ct
 from .errors import GuardViolation, IndexOutOfRange, InsufficientWeights
-from .symbolic import (
-    LaurentPolynomial,
-    ONE,
-    ZERO,
-    _sum,
-    as_poly,
-    constant_term_ratio,
-    monomial,
-    sym,
-)
+from .symbolic import LaurentPolynomial, ONE, ZERO, _sum, as_poly, sym
 from .orthopoly import WeightSpec
 
-_RHO = sym("rho")
 _KH = sym("kappa_hat")
 _OH = sym("omega_hat")
 _KH1 = sym("kappa_hat_1")
@@ -148,9 +140,6 @@ class DmrParams:
     def closed_sum(self) -> LaurentPolynomial:
         return dmr_sum(self)
 
-    def _output_substitution(self) -> dict:
-        return {"kappa_hat": self.kappa - 1, "omega_hat": self.omega - 1}
-
 
 @dataclass(frozen=True)
 class FourWeightParams:
@@ -188,36 +177,10 @@ class FourWeightParams:
     def closed_sum(self) -> LaurentPolynomial:
         return four_weight_sum(self)
 
-    def _output_substitution(self) -> dict:
-        return {
-            "kappa_hat_1": self.kappa1 - 1,
-            "kappa_hat_2": self.kappa2 - 1,
-            "omega_hat_1": self.omega1 - 1,
-            "omega_hat_2": self.omega2 - 1,
-        }
-
 
 def dmr_ct(p: DmrParams) -> LaurentPolynomial:
-    """Two-wall weight polynomial as a constant term in rho.
-
-    CT[ (rho + 1/rho)^(2r) * (1 - rho^2) * (A rho^L - B rho^-L)
-                                         / (A C rho^L - B D rho^-L) ]
-    with A = rho^2 - omega_hat, B = 1 - omega_hat rho^2,
-         C = rho^2 - kappa_hat, D = 1 - kappa_hat rho^2.
-    The lowest denominator coefficient is -1, so the series inversion is a
-    unit inversion regardless of the decoration values.
-    """
-    r, L = p.r, p.L
-    rho2 = _RHO ** 2
-    a = rho2 - _OH
-    b = 1 - _OH * rho2
-    c = rho2 - _KH
-    d = 1 - _KH * rho2
-    kernel = (_RHO + monomial(1, rho=-1)) ** (2 * r)
-    num = kernel * (1 - rho2) * (a * monomial(1, rho=L) - b * monomial(1, rho=-L))
-    den = a * c * monomial(1, rho=L) - b * d * monomial(1, rho=-L)
-    ct = constant_term_ratio(num, den)
-    return ct.substitute(p._output_substitution())
+    """Two-wall weight polynomial as the paper's constant term in rho."""
+    return cheb_ct(StripQuery(2 * p.r, 0, 0, p.L), p.weight_spec())
 
 
 def dmr_sum(p: DmrParams) -> LaurentPolynomial:
@@ -278,37 +241,12 @@ def dmr_sum(p: DmrParams) -> LaurentPolynomial:
         if m == m_max + 1:
             _check_guard(layer, "guard layer of the m sum")
         layers.append(layer)
-    return _sum(layers).substitute(p._output_substitution())
+    return _sum(layers).substitute({"kappa_hat": p.kappa - 1, "omega_hat": p.omega - 1})
 
 
 def four_weight_ct(p: FourWeightParams) -> LaurentPolynomial:
-    """Four-wall weight polynomial as a constant term in rho.
-
-    CT[ (rho + 1/rho)^(2r) * (A B rho^L - Ab Bb rho^-L)
-                           / (C B rho^L - Cb Bb rho^-L) * (1/rho - rho) ]
-    with  A = 1 - kh2/rho^2            Ab = 1 - kh2 rho^2
-          B = rho - (oh1+oh2)/rho - oh2/rho^3
-          Bb = 1/rho - (oh1+oh2) rho - oh2 rho^3
-          C = rho - (kh1+kh2)/rho - kh2/rho^3
-          Cb = 1/rho - (kh1+kh2) rho - kh2 rho^3.
-    """
-    r, L = p.r, p.L
-    inv1 = monomial(1, rho=-1)
-    inv2 = monomial(1, rho=-2)
-    inv3 = monomial(1, rho=-3)
-    rho1, rho2, rho3 = _RHO, _RHO ** 2, _RHO ** 3
-    a = 1 - _KH2 * inv2
-    a_bar = 1 - _KH2 * rho2
-    b = rho1 - (_OH1 + _OH2) * inv1 - _OH2 * inv3
-    b_bar = inv1 - (_OH1 + _OH2) * rho1 - _OH2 * rho3
-    c = rho1 - (_KH1 + _KH2) * inv1 - _KH2 * inv3
-    c_bar = inv1 - (_KH1 + _KH2) * rho1 - _KH2 * rho3
-    kernel = (_RHO + inv1) ** (2 * r)
-    num = kernel * (a * b * monomial(1, rho=L) - a_bar * b_bar * monomial(1, rho=-L))
-    num = num * (inv1 - rho1)
-    den = c * b * monomial(1, rho=L) - c_bar * b_bar * monomial(1, rho=-L)
-    ct = constant_term_ratio(num, den)
-    return ct.substitute(p._output_substitution())
+    """Four-wall weight polynomial as the paper's constant term in rho."""
+    return cheb_ct(StripQuery(2 * p.r, 0, 0, p.L), p.weight_spec())
 
 
 def _inner_triple(u: int, r: int) -> LaurentPolynomial:
@@ -409,7 +347,9 @@ def four_weight_sum(p: FourWeightParams) -> LaurentPolynomial:
         if m == m_max + 1:
             _check_guard(layer, "guard layer of the m sum")
         layers.append(layer)
-    return _sum(layers).substitute(p._output_substitution())
+    return _sum(layers).substitute(
+        {"kappa_hat_1": p.kappa1 - 1, "kappa_hat_2": p.kappa2 - 1,
+         "omega_hat_1": p.omega1 - 1, "omega_hat_2": p.omega2 - 1})
 
 
 def _coerce_kappas(kappas) -> list:

@@ -14,7 +14,10 @@ The engines compute it by
 * the truncated generating function itself.
 
 All five agree exactly; mutual agreement is the library's main test
-surface, with brute force as ground truth.
+surface, with brute force as ground truth.  :func:`cheb_ct` reads the same
+constant term with each recurrence polynomial cut at its decorations
+instead of expanded; the closed-form constant terms of ``closedforms`` are
+it, and the tests check it against the five.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from math import prod
 
-from .errors import SizeLimit
+from .errors import SizeLimit, ZeroLambda
 from .symbolic import (
     LaurentPolynomial,
     ONE,
@@ -32,11 +36,13 @@ from .symbolic import (
     _inversion_order,
     _sum,
     as_poly,
+    constant_term_ratio,
     monomial,
     series_invert,
     sym,
 )
 from .orthopoly import WeightSpec, ortho_poly, reciprocal, to_laurent
+from .paving import _decoration_cut
 
 DEFAULT_BRUTE_CAP = 18
 
@@ -151,7 +157,7 @@ def enumerate_paths(t: int, y_start: int, L: int, y_end: int | None = None):
     yield from walk(y_start, t)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=64)
 def _signature_cells(L: int, y_start: int, t: int, zero_across: frozenset):
     """Packed weight signatures of every length-t path from y_start.
 
@@ -368,3 +374,36 @@ def rho_ct(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
     num = num * ((monomial(lam, rho=-1) - sym("rho")) * _kernel_power(b, lam, q.t))
     inv = _rho_denominator_inverse(den, _inversion_order(num, den, 0, "rho"))
     return inv.mul_poly(num, exponent=0).constant_term()
+
+
+def cheb_ct(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
+    """rho_ct's constant term, each P of Viennot's ratio cut at its decorations
+    (``paving._decoration_cut``).  After x -> rho + b + lam/rho, S_0 = 1,
+    S_1 = rho + lam/rho and S_m = T_m / D, with T_m = rho^(m+1) -
+    (lam/rho)^(m+1) and D = rho - lam/rho, so each P is N / D^e.  The
+    background lam must be nonzero, as for rho_ct."""
+    if q.L != w.strip_height:
+        raise ValueError(f"query strip L={q.L} != weights strip L={w.strip_height}")
+    b, lam = w.background_b, w.background_lambda
+    if lam == 0:
+        raise ZeroLambda("lambda must be nonzero for the Laurent substitution")
+    rho, inv = sym("rho"), monomial(lam, rho=-1)
+    d = rho - inv
+
+    def s(m: int) -> LaurentPolynomial:  # S_m, times D past m = 1
+        if m < 2:
+            return rho + inv if m else ONE
+        return LaurentPolynomial({(("rho", m + 1),): 1,
+                                  (("rho", -m - 1),): -lam ** (m + 1)})
+
+    def over_d(k: int, j: int) -> tuple:  # (N, e) with P_k^(j) = N / D^e
+        terms = [(prod(map(s, orders), start=coeff), sum(m > 1 for m in orders))
+                 for coeff, orders in _decoration_cut(k, j, w)]
+        e = max(n for _, n in terms)
+        return _sum([t * d ** (e - n) for t, n in terms]), e
+
+    (lo, e_lo), (hi, e_hi) = over_d(q.y_lo, 0), over_d(q.L - q.y_hi, q.y_hi + 1)
+    den, e = over_d(q.L + 1, 0)
+    num = -d * _kernel_power(b, lam, q.t) * lo * h_factor(q, w) * hi
+    e -= e_lo + e_hi  # the leftover D goes where its power is nonnegative
+    return constant_term_ratio(num * d ** max(e, 0), den * d ** max(-e, 0))

@@ -220,20 +220,14 @@ def vertex_cut(k: int, j: int, c: int, w: WeightSpec | None = None) -> Decomposi
     return Decomposition(k, j, "ortho", terms)
 
 
-def _decorated_positions(k: int, j: int, w: WeightSpec):
-    """Decorated cut positions in the window of P_k^(j), leftmost first.
-
-    Vertex c sits at coordinate 2c, edge c between vertices c-1 and c at
-    coordinate 2c - 1, so the two kinds interleave correctly.
-    """
-    positions = []
-    for c in range(1, k):
-        if (c + j) in w.down_heights:
-            positions.append((2 * c - 1, "edge", c))
-    for c in range(k):
-        if (c + j) in w.across_heights:
-            positions.append((2 * c, "vertex", c))
-    return sorted(positions)
+def _decorated_positions(k: int, j: int, w: WeightSpec) -> list:
+    """(position, decoration) of each decorated edge and vertex in the window
+    of P_k^(j), leftmost first.  Vertex c sits at position 2c and edge c,
+    between vertices c-1 and c, at 2c - 1, so the two kinds interleave."""
+    down, across = w.down_decorations, w.across_decorations
+    return sorted([(2 * c - 1, down[c + j]) for c in range(1, k) if c + j in down]
+                  + [(2 * c, across[c + j]) for c in range(k) if c + j in across],
+                  key=lambda cut: cut[0])
 
 
 def _decompose_terms(k: int, j: int, w: WeightSpec) -> list:
@@ -243,16 +237,36 @@ def _decompose_terms(k: int, j: int, w: WeightSpec) -> list:
     positions = _decorated_positions(k, j, w)
     if not positions:
         return [(ONE, ((j, k),))]
-    _, kind, c = positions[0]
-    cut = edge_cut if kind == "edge" else vertex_cut
+    pos = positions[0][0]
+    cut = edge_cut if pos % 2 else vertex_cut
     out = []
-    for term in cut(k, j, c, w).terms:
+    for term in cut(k, j, (pos + 1) // 2, w).terms:
         # the left factor is decoration free by choice of the first position
         left, (sub_j, sub_k) = term.factors
         kept = (left,) if left[1] > 0 else ()
         out += [(term.coefficient * sub_coeff, kept + sub_factors)
                 for sub_coeff, sub_factors in _decompose_terms(sub_k, sub_j, w)]
     return out
+
+
+def _decoration_cut(k: int, j: int, w: WeightSpec) -> list:
+    """P_k^(j) as (coefficient, orders) pairs, each term the coefficient times
+    the undecorated S_m of its orders.  P is linear in its lowest decoration
+    d, so P = P[d removed] - d * P_left * P_right: P_{c-1} and P_{k-c-1} for
+    a down d on edge c, P_c and P_{k-c-1} for an across d at vertex c.
+    Nothing lies below d, so P_left is an S_m; the rest is cut again."""
+
+    def cut(k: int, cuts: list) -> list:
+        if not cuts:
+            return [(ONE, (k,))]
+        (pos, d), rest = cuts[0], cuts[1:]
+        c = (pos + 1) // 2
+        skip = 2 * c + 2  # the right window starts at vertex c + 1
+        right = cut(k - c - 1, [(p - skip, v) for p, v in rest if p >= skip])
+        return cut(k, rest) + [(-d * coeff, (pos // 2,) + orders)
+                               for coeff, orders in right]
+
+    return cut(k, _decorated_positions(k, j, w))
 
 
 def decompose(k: int, j: int, w: WeightSpec) -> Decomposition:

@@ -13,6 +13,9 @@ import pytest
 
 import latpoly
 import latpoly.closedforms as closedforms
+import latpoly.engines as engines
+import latpoly.orthopoly as orthopoly
+import latpoly.paving as paving
 from latpoly import (
     DmrParams,
     FourWeightParams,
@@ -24,12 +27,14 @@ from latpoly import (
     WeightSpec,
     ZERO,
     brute_force,
+    constant_term_ratio,
     dmr_ct,
     dmr_sum,
     enumerate_paths,
     extended_catalan,
     four_weight_ct,
     four_weight_sum,
+    monomial,
     path_weight,
     rogers,
     rogers_weight_spec,
@@ -59,6 +64,76 @@ def test_extended_catalan_examples():
     assert extended_catalan(3, -1) == 0
     assert extended_catalan(-1, 0) == 0
     assert extended_catalan(2, 5) == -1  # k = 2n + 1 keeps the second binomial
+
+
+# The paper's printed ratios, in the hatted decorations kappa_hat =
+# kappa - 1 and so on, kept as a reference for the constant terms that the
+# library builds by cutting at the decorations.
+RHO, INV = sym("rho"), monomial(1, rho=-1)
+
+
+def _printed_dmr(p: DmrParams):
+    """CT[ (rho + 1/rho)^(2r) (1 - rho^2) (A rho^L - B rho^-L)
+                                  / (A C rho^L - B D rho^-L) ]
+    with A = rho^2 - oh, B = 1 - oh rho^2, C = rho^2 - kh, D = 1 - kh rho^2."""
+    kh, oh = sym("kappa_hat"), sym("omega_hat")
+    up, down = monomial(1, rho=p.L), monomial(1, rho=-p.L)
+    a, b = RHO ** 2 - oh, 1 - oh * RHO ** 2
+    c, d = RHO ** 2 - kh, 1 - kh * RHO ** 2
+    num = (RHO + INV) ** (2 * p.r) * (1 - RHO ** 2) * (a * up - b * down)
+    ct = constant_term_ratio(num, a * c * up - b * d * down)
+    return ct.substitute({"kappa_hat": p.kappa - 1, "omega_hat": p.omega - 1})
+
+
+def _printed_four(p: FourWeightParams):
+    """CT[ (rho + 1/rho)^(2r) (A B rho^L - Ab Bb rho^-L)
+                             / (C B rho^L - Cb Bb rho^-L) (1/rho - rho) ]
+    with A = 1 - kh2/rho^2, Ab = 1 - kh2 rho^2, B = rho - (oh1 + oh2)/rho -
+    oh2/rho^3, Bb = 1/rho - (oh1 + oh2) rho - oh2 rho^3, and C, Cb as B, Bb
+    with kh1, kh2 for oh1, oh2."""
+    kh1, kh2, oh1, oh2 = (sym(n) for n in ("kh1", "kh2", "oh1", "oh2"))
+    up, down = monomial(1, rho=p.L), monomial(1, rho=-p.L)
+    a, a_bar = 1 - kh2 * INV ** 2, 1 - kh2 * RHO ** 2
+    b = RHO - (oh1 + oh2) * INV - oh2 * INV ** 3
+    b_bar = INV - (oh1 + oh2) * RHO - oh2 * RHO ** 3
+    c = RHO - (kh1 + kh2) * INV - kh2 * INV ** 3
+    c_bar = INV - (kh1 + kh2) * RHO - kh2 * RHO ** 3
+    num = (RHO + INV) ** (2 * p.r) * (a * b * up - a_bar * b_bar * down) * (INV - RHO)
+    ct = constant_term_ratio(num, c * b * up - c_bar * b_bar * down)
+    return ct.substitute({"kh1": p.kappa1 - 1, "kh2": p.kappa2 - 1,
+                          "oh1": p.omega1 - 1, "oh2": p.omega2 - 1})
+
+
+def test_constant_terms_equal_the_printed_ratios():
+    for L in range(2, 9):
+        for r in range(0, 9):
+            p = DmrParams(r, L)
+            assert dmr_ct(p) == _printed_dmr(p), (r, L)
+            if L >= 4:
+                p = FourWeightParams(r, L)
+                assert four_weight_ct(p) == _printed_four(p), (r, L)
+
+
+def test_constant_terms_use_neither_recurrence_nor_substitution(monkeypatch):
+    # the constant terms cut at the decorations and map each S_m straight
+    # to T_m / D, so they stay a check independent of ortho_poly and
+    # to_laurent
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closed-form constant terms must not call this")
+
+    for module, name in ((orthopoly, "ortho_poly"), (engines, "ortho_poly"),
+                         (orthopoly, "to_laurent"), (engines, "to_laurent"),
+                         (paving, "ortho_poly")):
+        monkeypatch.setattr(module, name, refuse)
+    k, o = sym("kappa"), sym("omega")
+    assert dmr_ct(DmrParams(2, 2)) == k ** 2 + k * o
+    k1, k2 = sym("kappa_1"), sym("kappa_2")
+    assert four_weight_ct(FourWeightParams(2, 4)) == k1 ** 2 + k1 * k2
+    for r, L in ((5, 3), (6, 5)):
+        p = DmrParams(r, L, k, Fraction(1, 2))
+        assert dmr_ct(p) == dmr_sum(p), (r, L)
+        p = FourWeightParams(r, L + 1, k, 2, o, Fraction(3, 2))
+        assert four_weight_ct(p) == four_weight_sum(p), (r, L)
 
 
 def test_dmr_anchor_values():

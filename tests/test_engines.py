@@ -29,7 +29,9 @@ from latpoly import (
     transfer_matrix,
     viennot_ct,
 )
-from latpoly.engines import _ratio
+import latpoly.engines as engines
+from latpoly import DmrParams, FourWeightParams, RogersParams
+from latpoly.engines import _ratio, _signature_cells, cheb_ct
 from util import (
     BACKGROUND_B_POOL,
     BACKGROUND_L_POOL,
@@ -45,6 +47,7 @@ def _all_engine_values(q, w):
         "tmatrix": transfer_matrix(q, w),
         "viennot": viennot_ct(q, w),
         "rho": rho_ct(q, w),
+        "cheb": cheb_ct(q, w),
         "gf": gf.coefficient(q.t),
     }
 
@@ -145,6 +148,27 @@ def test_brute_force_cap():
         brute_force(StripQuery(70, 0, 0, 1), w, cap=100)
 
 
+def test_closed_brute_force_queries_fit_the_signature_cache():
+    # the brute-force queries of the benchmark's closed workload, in its
+    # order: 53 distinct (L, t) for 105 requests, so a second round of them
+    # is answered from the cache alone
+    cases = ([(2 * r, DmrParams(r, L)) for L in (2, 3, 4, 5) for r in range(9)]
+             + [(2 * r, FourWeightParams(r, L)) for L in (4, 5, 6) for r in range(7)]
+             + [(2 * n, RogersParams(n, L)) for L in range(2, 8) for n in range(1, 9)])
+    jobs = [(StripQuery(t, 0, 0, m.L), m.weight_spec()) for t, m in cases]
+    assert len(jobs) == 105
+    _signature_cells.cache_clear()
+    for q, w in jobs:
+        brute_force(q, w)
+    first = _signature_cells.cache_info()
+    assert first.misses == 53
+    for q, w in jobs:
+        brute_force(q, w)
+    second = _signature_cells.cache_info()
+    assert second.misses == first.misses
+    assert second.hits - first.hits == len(jobs)
+
+
 def test_transfer_matrix_examples():
     w = WeightSpec.generic(3)
     assert transfer_matrix(StripQuery(1, 0, 1, 3), w) == ONE
@@ -242,6 +266,24 @@ def test_ratio_cache_is_history_independent():
         assert values == (expected,) * 3, (y0, y1, t)
 
 
+def test_cheb_ct_denominator_does_not_grow_with_L(monkeypatch):
+    # with the decorations cut out, every factor of the denominator is a
+    # two-term T_m, so a fixed decoration set keeps its term count at any L
+    seen = []
+    exact = engines.constant_term_ratio
+    monkeypatch.setattr(engines, "constant_term_ratio",
+                        lambda num, den: seen.append(den) or exact(num, den))
+    k, o, k1, k2, o1, o2 = (sym(n) for n in ("k", "o", "k1", "k2", "o1", "o2"))
+    for L in range(3, 31):
+        two = WeightSpec(L, 0, 1, down={1: k, L: o})
+        cheb_ct(StripQuery(4, 0, 0, L), two)
+        assert seen[-1].term_count() == 8, L
+        if L >= 7:
+            four = WeightSpec(L, 0, 1, down={1: k1, 2: k2, L - 1: o2, L: o1})
+            cheb_ct(StripQuery(4, 0, 0, L), four)
+            assert seen[-1].term_count() <= 30, L
+
+
 def test_generating_function_examples():
     w = WeightSpec.generic(2)
     gf = generating_function(0, 0, 2, w, 8)
@@ -317,9 +359,9 @@ def test_query_validation():
 
 
 def test_zero_lambda_is_a_wall_for_every_engine():
-    # a zero lambda_i forbids every down step from height i; only rho-ct's
-    # change of variable x -> rho + b + lam/rho needs a nonzero lambda, and
-    # only the background one
+    # a zero lambda_i forbids every down step from height i; only the change
+    # of variable x -> rho + b + lam/rho of rho-ct and cheb-ct needs a
+    # nonzero lambda, and only the background one
     kappa = sym("kappa")
     for L in range(4):
         specs = [
@@ -339,11 +381,12 @@ def test_zero_lambda_is_a_wall_for_every_engine():
                         assert transfer_matrix(q, w) == expected, (q, w)
                         assert viennot_ct(q, w) == expected, (q, w)
                         assert gf.coefficient(t) == expected, (q, w)
-                        if w.background_lambda:
-                            assert rho_ct(q, w) == expected, (q, w)
-                        else:
-                            with pytest.raises(ZeroLambda):
-                                rho_ct(q, w)
+                        for engine in (rho_ct, cheb_ct):
+                            if w.background_lambda:
+                                assert engine(q, w) == expected, (q, w)
+                            else:
+                                with pytest.raises(ZeroLambda):
+                                    engine(q, w)
 
 
 def test_deep_t_and_L_need_no_recursion():

@@ -21,7 +21,7 @@ from latpoly import (
     sym,
     vertex_cut,
 )
-from latpoly.paving import decoration_window_sizes
+from latpoly.paving import _decoration_cut, decoration_window_sizes
 from util import random_weight_spec
 
 X = sym("x")
@@ -125,6 +125,13 @@ def test_cut_soundness_randomized():
                 assert edge_cut(k, j, c, w).expand(w) == target
             for c in range(0, k):
                 assert vertex_cut(k, j, c, w).expand(w) == target
+            # the cut at decorations alone, every factor an undecorated S_m
+            expansion = 0
+            for coeff, orders in _decoration_cut(k, j, w):
+                for m in orders:
+                    coeff = coeff * chebyshev_s(m, w.background_b, w.background_lambda)
+                expansion = expansion + coeff
+            assert expansion == target
 
 
 def test_decompose_no_decorations():
