@@ -12,8 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latpoly import (
+    DmrParams,
+    FourWeightParams,
     LatticePath,
     ONE,
+    RogersParams,
     SizeLimit,
     StripQuery,
     WeightSpec,
@@ -30,7 +33,6 @@ from latpoly import (
     viennot_ct,
 )
 import latpoly.engines as engines
-from latpoly import DmrParams, FourWeightParams, RogersParams
 from latpoly.engines import _ratio, _signature_cells, cheb_ct
 from util import (
     BACKGROUND_B_POOL,
