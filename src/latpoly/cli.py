@@ -24,6 +24,7 @@ from .orthopoly import WeightSpec
 from .engines import (
     StripQuery,
     brute_force,
+    cheb_ct,
     generating_function,
     rho_ct,
     transfer_matrix,
@@ -216,10 +217,9 @@ def _model_jobs(args, var, values):
         grid = range(top + 1) if args.mode == "crosscheck" else [top]
         points = [("r", half, v) for v in grid]
     for var, key, value in points:
-        model = made.get(value) or cls(**{**params, key: value})
-        w = model.weight_spec()
-        q = StripQuery(2 * getattr(model, half), 0, 0, w.strip_height)
-        yield f"model={args.model};{var}={value}", q, w, model
+        # no query or weights: _query makes them only for the engines that read them
+        yield (f"model={args.model};{var}={value}", None, None,
+               made.get(value) or cls(**{**params, key: value}))
 
 
 def _jobs(args, var=None, values=()):
@@ -260,13 +260,24 @@ def _jobs(args, var=None, values=()):
 
 # -- engines ------------------------------------------------------------------
 
+def _query(q, w, model) -> tuple:
+    """The query and weights of a job.  A model job carries neither: its
+    weights are the model's own, built on first use and kept on it, so a
+    closed-form constant term reads the same WeightSpec."""
+    if model is None:
+        return q, w
+    w = model.weight_spec()
+    return StripQuery(2 * getattr(model, fields(model)[0].name), 0, 0, w.strip_height), w
+
+
 # Each entry looks its engine up by name when it runs, so a replaced or
 # wrapped module attribute is the one that is called.
 _ENGINES = {
-    "brute": lambda q, w, model, cap: brute_force(q, w, cap=cap),
-    "tmatrix": lambda q, w, model, cap: transfer_matrix(q, w),
-    "viennot-ct": lambda q, w, model, cap: viennot_ct(q, w),
-    "rho-ct": lambda q, w, model, cap: rho_ct(q, w),
+    "brute": lambda q, w, model, cap: brute_force(*_query(q, w, model), cap=cap),
+    "tmatrix": lambda q, w, model, cap: transfer_matrix(*_query(q, w, model)),
+    "viennot-ct": lambda q, w, model, cap: viennot_ct(*_query(q, w, model)),
+    "rho-ct": lambda q, w, model, cap: rho_ct(*_query(q, w, model)),
+    "cheb-ct": lambda q, w, model, cap: cheb_ct(*_query(q, w, model)),
     "closed-form": lambda q, w, model, cap: model.closed_form(),
     "closed-sum": lambda q, w, model, cap: model.closed_sum(),
 }

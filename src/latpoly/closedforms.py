@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, inf
 
 from .engines import StripQuery, cheb_ct
@@ -131,6 +131,10 @@ class DmrParams:
         object.__setattr__(self, "omega", _coerce_value(self.omega))
 
     def weight_spec(self) -> WeightSpec:
+        return self._spec
+
+    @cached_property
+    def _spec(self) -> WeightSpec:  # built once per model, for every engine
         return WeightSpec(self.L, 0, 1,
                           down={1: self.kappa - 1, self.L: self.omega - 1})
 
@@ -164,6 +168,10 @@ class FourWeightParams:
             object.__setattr__(self, name, _coerce_value(getattr(self, name)))
 
     def weight_spec(self) -> WeightSpec:
+        return self._spec
+
+    @cached_property
+    def _spec(self) -> WeightSpec:  # built once per model, for every engine
         return WeightSpec(self.L, 0, 1, down={
             1: self.kappa1 - 1,
             2: self.kappa2 - 1,
@@ -474,6 +482,10 @@ class RogersParams:
         return [sym(f"kappa_{i}") for i in range(1, max(bound, 1) + 1)]
 
     def weight_spec(self) -> WeightSpec:
+        return self._spec
+
+    @cached_property
+    def _spec(self) -> WeightSpec:  # built once per model, for every engine
         # a length-2n path cannot rise above height n
         return rogers_weight_spec(self.n if self.L is None else self.L, self._kappas())
 

@@ -33,6 +33,7 @@ from .symbolic import (
     ONE,
     TruncatedSeries,
     ZERO,
+    _Quotient,
     _inversion_order,
     _sum,
     as_poly,
@@ -349,8 +350,10 @@ def _kernel_power(b: int | Fraction, lam: int | Fraction, t: int) -> LaurentPoly
 
 
 @lru_cache(maxsize=512)
-def _rho_denominator_inverse(den: LaurentPolynomial, order: int) -> TruncatedSeries:
-    return series_invert(den, order, var="rho")
+def _rho_denominator_inverse(y_start: int, y_end: int, L: int, w: WeightSpec):
+    """The series of (lam/rho - rho) * num / den, ``_ratio``'s rho ring, for every t."""
+    num, den = _ratio(y_start, y_end, L, w, "rho")
+    return _Quotient(den, "rho", num * (monomial(w.background_lambda, rho=-1) - sym("rho")))
 
 
 def rho_ct(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
@@ -362,18 +365,16 @@ def rho_ct(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
     variable x -> rho + b + lam/rho, and b, lam are the backgrounds of w.
     They must be rational and lam nonzero (the lowest coefficient of
     P_{L+1} is then the unit lam^(L+1); ``to_laurent`` raises ZeroLambda
-    otherwise); decorations may stay symbolic or zero.  The t-dependent kernel
-    is multiplied in last, and the denominator is inverted just far enough
-    to read the constant term."""
+    otherwise); decorations may stay symbolic or zero.  (lam/rho - rho) *
+    ratio is a cached series rho^s * sum_k c_k rho^k, so the constant term is
+    the sum over k <= t - s of c_k times the kernel's coefficient of rho^(-s-k)."""
     if q.L != w.strip_height:
         raise ValueError(f"query strip L={q.L} != weights strip L={w.strip_height}")
-    b, lam = w.background_b, w.background_lambda
-    num, den = _ratio(q.y_start, q.y_end, q.L, w, "rho")
-    if num.is_zero:
-        return ZERO
-    num = num * ((monomial(lam, rho=-1) - sym("rho")) * _kernel_power(b, lam, q.t))
-    inv = _rho_denominator_inverse(den, _inversion_order(num, den, 0, "rho"))
-    return inv.mul_poly(num, exponent=0).constant_term()
+    state = _rho_denominator_inverse(q.y_start, q.y_end, q.L, w)
+    kernel = _kernel_power(w.background_b, w.background_lambda, q.t).split("rho")
+    s = state.shift
+    return _sum([c * kernel[-s - k] for k, c in enumerate(state.upto(q.t - s))
+                 if -s - k in kernel])
 
 
 def cheb_ct(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:

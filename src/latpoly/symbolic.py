@@ -699,10 +699,9 @@ class TruncatedSeries:
 
 
 @lru_cache(maxsize=64)
-def _inverse_state(d: LaurentPolynomial, var: str) -> tuple:
-    """Checked split d = var**m * (u + tail) and the append-only list of the
-    coefficients of 1/(u + tail) computed so far, shared by every order of
-    ``series_invert(d, order, var)``; the lock guards its extension."""
+def _unit_split(d: LaurentPolynomial, var: str) -> tuple:
+    """Checked split d = var**m * u * (1 - sum_i t_i*var**i), u a nonzero
+    rational: m, 1/u and the pairs (i, t_i), shared by every quotient over d."""
     if d.is_zero:
         raise NonUnitLeadingCoefficient("cannot invert the zero polynomial")
     parts = d.split(var)
@@ -714,8 +713,36 @@ def _inverse_state(d: LaurentPolynomial, var: str) -> tuple:
             "series coefficients would not be polynomials")
     # nonzero: split never yields a zero coefficient
     unit_inv = Fraction(1) / lowest.as_fraction()
-    tail = sorted((e - m, c) for e, c in parts.items())
-    return m, tail, unit_inv, [as_poly(unit_inv)], threading.Lock()
+    return m, unit_inv, [(e - m, c * -unit_inv) for e, c in parts.items()]
+
+
+class _Quotient:
+    """n/d = var**shift * (c_0 + c_1*var + ...): with (m, 1/u, t) the
+    ``_unit_split`` of d and lo the lowest exponent of ``var`` in n (0 for
+    n = 0), shift = lo - m and c_k = [var**(lo+k)]n / u + sum_i t_i*c_(k-i).
+    The c_k only grow, under the lock; 1/d is the case n = 1."""
+
+    def __init__(self, d: LaurentPolynomial, var: str, n: LaurentPolynomial = ONE):
+        m, unit_inv, self._tail = _unit_split(d, var)
+        top = n.split(var)
+        lo = min(top, default=0)
+        self.shift, self._c, self._lock = lo - m, [], threading.Lock()
+        self._num = {e - lo: c * unit_inv for e, c in top.items()}
+
+    def upto(self, order: int) -> list:
+        """c_0 .. c_order as a new list (empty below 0), computing any not yet known."""
+        with self._lock:
+            c = self._c
+            for k in range(len(c), order + 1):
+                terms = [t * c[k - i] for i, t in self._tail if i <= k]
+                if k in self._num:
+                    terms.append(self._num[k])
+                c.append(_sum(terms))
+            return c[:max(order + 1, 0)]
+
+
+# the state of 1/d, one per (d, var), shared by every order of series_invert
+_inverse_state = lru_cache(maxsize=64)(_Quotient)
 
 
 def series_invert(d, order: int, var: str = SERIES_VAR) -> TruncatedSeries:
@@ -731,19 +758,11 @@ def series_invert(d, order: int, var: str = SERIES_VAR) -> TruncatedSeries:
     bounded cache: a higher order extends them, a lower order reads their
     prefix, and every call returns a series of its own.
     """
-    m, tail, unit_inv, inv, lock = _inverse_state(as_poly(d), var)
+    state = _inverse_state(as_poly(d), var)
     if order < 0:
         raise ValueError("series order must be nonnegative")
-    with lock:
-        for n in range(len(inv), order + 1):
-            acc = ZERO
-            for i, c in tail:
-                if i > n:
-                    break
-                acc = acc + c * inv[n - i]
-            inv.append(acc * -unit_inv)
-        coeffs = {n - m: c for n, c in enumerate(inv[:order + 1])}
-    return TruncatedSeries(var, coeffs, order - m)
+    coeffs = {k + state.shift: c for k, c in enumerate(state.upto(order))}
+    return TruncatedSeries(var, coeffs, order + state.shift)
 
 
 def _inversion_order(num: LaurentPolynomial, den: LaurentPolynomial,

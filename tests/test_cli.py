@@ -242,6 +242,34 @@ def test_invalid_input_one_line_error_exit_2(args, message, tmp_path, monkeypatc
     assert message in err
 
 
+def test_model_weights_built_once_and_only_when_read(monkeypatch, capsys):
+    import latpoly.closedforms as closedforms
+    built = []
+    spec = closedforms.WeightSpec
+    monkeypatch.setattr(closedforms, "WeightSpec",
+                        lambda *a, **k: built.append(a) or spec(*a, **k))
+    # the sums read no weights
+    assert run_cli(DMR_2_2 + ["--engines", "closed-sum"], capsys)[0] == 0
+    assert built == []
+    # brute force and the constant term of one model share its weights
+    assert run_cli(["crosscheck", "--model", "dmr", "--param", "r=2", "--param", "L=3",
+                    "--engines", "brute,closed-form,cheb-ct"], capsys)[0] == 0
+    assert len(built) == 3  # r = 0, 1, 2
+
+
+def test_cheb_ct_zero_background_lambda_exit_2(tmp_path, monkeypatch, capsys):
+    # like rho-ct, cheb-ct substitutes x -> rho + b + lambda/rho, which needs
+    # a nonzero background lambda; a zero one is refused, not answered
+    (tmp_path / "wall.json").write_text(json.dumps(
+        {"b": 1, "lambda": 0, "L": 2, "down_decorations": {"1": "kappa"}}))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _exit_code(["crosscheck", "--weights", "wall.json", "--t", "2",
+                                 "--engines", "tmatrix,cheb-ct"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "lambda must be nonzero" in err
+
+
 @pytest.mark.parametrize("args", [
     ["gf", "--L", "2", "--model", "dmr"],
     ["gf", "--L", "2", "--t", "3"],

@@ -241,31 +241,77 @@ def test_rho_ct_deep_t_matches_transfer_matrix():
 
 def test_ratio_cache_is_history_independent():
     """Viennot's ratio is cached per endpoint pair, strip, weights and ring,
-    never per t: every t order and a cleared cache give the same values."""
+    and rho-ct's quotient series per endpoint pair, strip and weights, never
+    per t: every t order, pairs interleaved, and cleared caches give the
+    same values."""
     w = WeightSpec(3, Fraction(1, 2), -2, across={0: sym("beta")}, down={3: sym("kappa")})
     pairs = ((0, 0), (0, 3), (2, 1), (3, 0))
     ts = range(8)
 
-    def run(order):
+    def run(points):
         out = {}
-        for y0, y1 in pairs:
-            for t in order:
-                q = StripQuery(t, y0, y1, 3)
-                gf = generating_function(y0, y1, 3, w, t).coefficient(t)
-                out[y0, y1, t] = (viennot_ct(q, w), rho_ct(q, w), gf)
+        for y0, y1, t in points:
+            q = StripQuery(t, y0, y1, 3)
+            gf = generating_function(y0, y1, 3, w, t).coefficient(t)
+            out[y0, y1, t] = (viennot_ct(q, w), rho_ct(q, w), gf)
         return out
 
-    _ratio.cache_clear()
-    rising = run(ts)
+    def clear():
+        _ratio.cache_clear()
+        engines._rho_denominator_inverse.cache_clear()
+
+    clear()
+    rising = run([(y0, y1, t) for y0, y1 in pairs for t in ts])
     # one x ratio and one rho ratio per pair, read by every t and engine
     assert _ratio.cache_info().misses == 2 * len(pairs)
-    falling = run(ts[::-1])
-    _ratio.cache_clear()
-    fresh = run(ts[::-1])
+    assert engines._rho_denominator_inverse.cache_info().misses == len(pairs)
+    falling = run([(y0, y1, t) for y0, y1 in pairs for t in ts[::-1]])
+    clear()
+    fresh = run([(y0, y1, t) for y0, y1 in pairs for t in ts[::-1]])
     assert rising == falling == fresh
+    rng = random.Random(12)
+    for _ in range(3):  # random t orders, the endpoint pairs interleaved
+        points = [(y0, y1, t) for y0, y1 in pairs for t in ts]
+        rng.shuffle(points)
+        clear()
+        assert run(points) == rising
     for (y0, y1, t), values in rising.items():
         expected = transfer_matrix(StripQuery(t, y0, y1, 3), w)
         assert values == (expected,) * 3, (y0, y1, t)
+
+
+def test_rho_ct_forms_no_product_with_the_kernel(monkeypatch):
+    # rho-ct reads its constant term as a dot product of the cached quotient
+    # series with the kernel's coefficients, so it needs no series product
+    w = WeightSpec(3, 1, 2, across={1: sym("beta")}, down={2: sym("kappa"), 3: -2})
+    expected = {(t, y0, y1): transfer_matrix(StripQuery(t, y0, y1, 3), w)
+                for t in range(7) for y0 in range(4) for y1 in range(4)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rho_ct multiplied a series by a polynomial")
+
+    monkeypatch.setattr(engines.TruncatedSeries, "mul_poly", refuse)
+    engines._rho_denominator_inverse.cache_clear()
+    for (t, y0, y1), value in expected.items():
+        assert rho_ct(StripQuery(t, y0, y1, 3), w) == value, (t, y0, y1)
+
+
+def test_rho_ct_symbolic_t_sweep():
+    # every weight a symbol of its own over rational backgrounds
+    w = WeightSpec(3, 1, 2, across={i: sym(f"b{i}") for i in range(4)},
+                   down={i: sym(f"l{i}") for i in range(1, 4)})
+    for y0, y1 in ((0, 0), (0, 3), (3, 1)):
+        for t in range(13):
+            q = StripQuery(t, y0, y1, 3)
+            assert rho_ct(q, w) == transfer_matrix(q, w), q.label()
+
+
+def test_rho_ct_two_wall_spec_deep():
+    # rho-ct expands every P of the ratio while cheb-ct cuts them at the two
+    # decorations; at L = 30, t = 120 the two still agree exactly
+    w = WeightSpec(30, 0, 1, down={1: sym("kappa"), 30: sym("omega")})
+    q = StripQuery(120, 0, 0, 30)
+    assert rho_ct(q, w) == cheb_ct(q, w)
 
 
 def test_cheb_ct_denominator_does_not_grow_with_L(monkeypatch):

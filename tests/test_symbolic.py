@@ -30,7 +30,12 @@ from latpoly import (
     series_invert,
     sym,
 )
-from latpoly.symbolic import _NAMES as _slot_names, _inverse_state, _inversion_order
+from latpoly.symbolic import (
+    _NAMES as _slot_names,
+    _Quotient,
+    _inverse_state,
+    _inversion_order,
+)
 
 RHO = sym("rho")
 X = sym("x")
@@ -493,6 +498,52 @@ def test_series_invert_shared_across_threads():
         for _ in range(20):  # each round extends a fresh state from 8 threads
             _inverse_state.cache_clear()
             threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_led(), polys().filter(lambda p: not p.is_zero),
+       st.lists(st.integers(0, 8), min_size=1, max_size=4))
+def test_quotient_state_is_the_product_with_the_inverse(d, n, orders):
+    # rho^shift * (c_0 + c_1 rho + ...) is n/d: every coefficient it holds is
+    # the one that multiplying n by the series of 1/d trusts
+    state = _Quotient(d, "rho", n)
+    assert state.shift == n.min_exponent("rho") - d.min_exponent("rho")
+    for order in orders:  # rising and falling, extending and reading prefixes
+        c = state.upto(order)
+        assert len(c) == order + 1
+        product = series_invert(d, order).mul_poly(n)
+        assert product.truncation_order == order + state.shift
+        for k, ck in enumerate(c):
+            assert ck == product.coefficient(k + state.shift), (order, k)
+        c.append(sym("kappa"))  # a caller's list is its own
+
+
+def test_quotient_state_shared_across_threads():
+    d = 1 - 2 * RHO + sym("kappa") * RHO ** 2 - RHO ** 3
+    n = monomial(3, rho=-2) + sym("beta") * RHO - RHO ** 4
+    orders = [3, 12, 7, 15, 1, 10, 15, 5]
+    expected = _Quotient(d, "rho", n).upto(max(orders))
+    failures = []
+
+    def worker(state, shift):
+        for k in orders[shift:] + orders[:shift]:
+            if state.upto(k) != expected[:k + 1]:
+                failures.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):  # each round extends a fresh state from 4 threads
+            state = _Quotient(d, "rho", n)
+            threads = [threading.Thread(target=worker, args=(state, k)) for k in range(0, 8, 2)]
             for t in threads:
                 t.start()
             for t in threads:
