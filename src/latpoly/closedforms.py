@@ -23,9 +23,10 @@ always evaluated and checked to be zero, so a wrong bound fails loudly
 instead of truncating silently.
 
 Each sum builds every binomial triple and every power it uses once per
-call (:class:`_Powers` grows a power by one product from the one below),
-gathers a layer's pieces in a list and adds them in one dict with
-:func:`~latpoly.symbolic._sum`; a guard is checked on its summed layer.
+call (:class:`~latpoly.symbolic._Powers` grows a power by one product from
+the one below), gathers a layer's pieces in a list and adds them in one
+dict with :func:`~latpoly.symbolic._sum`; a guard is checked on its summed
+layer.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from math import comb, inf
 
 from .engines import StripQuery, cheb_ct
 from .errors import GuardViolation, IndexOutOfRange, InsufficientWeights
-from .symbolic import LaurentPolynomial, ONE, ZERO, _sum, as_poly, sym
+from .symbolic import LaurentPolynomial, ONE, ZERO, _Powers, _sum, as_poly, sym
 from .orthopoly import WeightSpec
 
 _KH = sym("kappa_hat")
@@ -58,25 +59,6 @@ def binom(n: int, k: int) -> int:
 def extended_catalan(n: int, k: int) -> int:
     """C(2n, k) - C(2n, k-1) under the vanishing convention above."""
     return binom(2 * n, k) - binom(2 * n, k - 1)
-
-
-class _Powers:
-    """base**0, base**1, ... of one polynomial, each built once, by one
-    product from the power below it."""
-
-    __slots__ = ("_base", "_pw")
-
-    def __init__(self, base):
-        self._base = base
-        self._pw = [ONE]
-
-    def __getitem__(self, e: int) -> LaurentPolynomial:
-        if e < 0:
-            raise ValueError(f"polynomial power requires a nonnegative integer, got {e}")
-        pw = self._pw
-        while len(pw) <= e:
-            pw.append(pw[-1] * self._base)
-        return pw[e]
 
 
 def _check_guard(value, what: str) -> None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import prod
+from math import lcm, prod
 
 from .errors import SizeLimit, ZeroLambda
 from .symbolic import (
@@ -33,6 +33,7 @@ from .symbolic import (
     ONE,
     TruncatedSeries,
     ZERO,
+    _Powers,
     _Quotient,
     _inversion_order,
     _sum,
@@ -189,39 +190,40 @@ def _signature_cells(L: int, y_start: int, t: int, zero_across: frozenset):
     return cells
 
 
-def _zero_across_heights(w: WeightSpec) -> frozenset:
-    return frozenset(i for i in range(w.strip_height + 1)
-                     if w.effective_b(i).is_zero)
-
-
-def _evaluate_signatures(cell: dict, L: int, w: WeightSpec) -> LaurentPolynomial:
-    """Sum of count * product-of-weight-powers over a signature cell.
-
-    Packed field i counts steps of weight b_i for i <= L and lambda_(i-L)
-    above; fields of equal weight add their counts into one exponent."""
+@lru_cache(maxsize=16)
+def _brute_weights(w: WeightSpec) -> tuple:
+    """What brute force reads of w, built once per spec: the heights whose
+    across weight is zero, each packed field's slot among the distinct
+    effective weights (field i is b_i for i <= L, lambda_(i-L) above) and
+    one shared power table per distinct weight.  A job queries one spec
+    many times before it moves on, so a few specs are kept."""
+    L = w.strip_height
     weights = ([w.effective_b(i) for i in range(L + 1)]
                + [w.effective_lambda(i) for i in range(1, L + 1)])
     distinct = list(dict.fromkeys(weights))
-    slots = [distinct.index(v) for v in weights]
+    zero_across = frozenset(i for i in range(L + 1) if weights[i].is_zero)
+    return zero_across, [distinct.index(v) for v in weights], [_Powers(v) for v in distinct]
 
+
+def _evaluate_signatures(cell: dict, slots: list, powers: list) -> LaurentPolynomial:
+    """Sum of count * product-of-weight-powers over a signature cell, with
+    ``_brute_weights``' slots and power tables; fields of equal weight add
+    their counts into one exponent."""
     grouped: dict = {}
     for sig, count in cell.items():
-        exponents = [0] * len(distinct)
+        exponents = [0] * len(powers)
         for slot in slots:
             exponents[slot] += sig & _FIELD_MASK
             sig >>= _FIELD_BITS
         key = tuple(exponents)
         grouped[key] = grouped.get(key, 0) + count
 
-    powers: dict = {}
     pieces = []
     for exponents, count in grouped.items():
         piece = as_poly(count)
         for j, e in enumerate(exponents):
             if e:
-                if (j, e) not in powers:
-                    powers[j, e] = distinct[j] ** e
-                piece = piece * powers[j, e]
+                piece = piece * powers[j][e]
         pieces.append(piece)
     return _sum(pieces)
 
@@ -240,8 +242,9 @@ def brute_force(q: StripQuery, w: WeightSpec, cap: int = DEFAULT_BRUTE_CAP) -> L
         raise SizeLimit(f"t={q.t} exceeds the signature field width {_FIELD_MAX}")
     if q.L != w.strip_height:
         raise ValueError(f"query strip L={q.L} != weights strip L={w.strip_height}")
-    cells = _signature_cells(q.L, q.y_start, q.t, _zero_across_heights(w))
-    return _evaluate_signatures(cells.get(q.y_end, {}), q.L, w)
+    zero_across, slots, powers = _brute_weights(w)
+    cells = _signature_cells(q.L, q.y_start, q.t, zero_across)
+    return _evaluate_signatures(cells.get(q.y_end, {}), slots, powers)
 
 
 @lru_cache(maxsize=8192)
@@ -307,15 +310,14 @@ def _ratio(y_start: int, y_end: int, L: int, w: WeightSpec, ring: str) -> tuple:
 
 def _x_product(q: StripQuery, w: WeightSpec, e: int,
                whole: bool = False) -> TruncatedSeries:
-    """x^(Y-Y') times the ratio under ``reciprocal``, as a series in x, the
-    denominator inverted just far enough to read x^e: the x^e coefficient
-    alone, or with ``whole`` every coefficient up to it (all zero when the
-    numerator is)."""
+    """The ratio under ``reciprocal``, as a series in x, the denominator
+    inverted just far enough to read x^e: the x^e coefficient alone, or with
+    ``whole`` every coefficient up to it (all zero when the numerator is).
+    The cached numerator is multiplied as it is, so its split is reused; the
+    generating function's x^t coefficient is this series' x^(t-Y+Y')."""
     num, den = _ratio(q.y_start, q.y_end, q.L, w, "x")
     if num.is_zero:
         return TruncatedSeries("x", {}, e)
-    if q.y_hi - q.y_lo:
-        num = num * monomial(1, x=q.y_hi - q.y_lo)
     inv = series_invert(den, _inversion_order(num, den, e, "x"), var="x")
     return inv.mul_poly(num, None if whole else e)
 
@@ -328,7 +330,8 @@ def viennot_ct(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
     weights."""
     if q.L != w.strip_height:
         raise ValueError(f"query strip L={q.L} != weights strip L={w.strip_height}")
-    return _x_product(q, w, q.t).coefficient(q.t)
+    e = q.t - (q.y_hi - q.y_lo)
+    return _x_product(q, w, e).coefficient(e) if e >= 0 else ZERO
 
 
 def generating_function(y_start: int, y_end: int, L: int, w: WeightSpec,
@@ -339,20 +342,34 @@ def generating_function(y_start: int, y_end: int, L: int, w: WeightSpec,
     q = StripQuery(0, y_start, y_end, L)
     if L != w.strip_height:
         raise ValueError(f"argument L={L} != weights strip L={w.strip_height}")
-    product = _x_product(q, w, order, whole=True)
-    coeffs = {e: product.coefficient(e) for e in range(order + 1)}
+    d = q.y_hi - q.y_lo
+    product = _x_product(q, w, order - d, whole=True)
+    coeffs = {e: product.coefficient(e - d) for e in range(d, order + 1)}
     return TruncatedSeries("x", coeffs, order)
 
 
 @lru_cache(maxsize=4096)
 def _kernel_power(b: int | Fraction, lam: int | Fraction, t: int) -> LaurentPolynomial:
-    return (sym("rho") + b + monomial(lam, rho=-1)) ** t
+    """(rho + b + lam/rho)^t in O(t) whole-number steps.  With d the least
+    common denominator of b and lam, B = d*b, M = d^2*lam and g = s^2 + B*s + M,
+    the power is sum_n a_n d^(n-2t) rho^(n-t), a_n the coefficients of g^t.
+    g * (g^t)' = t * g' * g^t gives a_2t = 1 and the exact division
+    (2t-n+1) a_(n-1) = M (n+1) a_(n+1) - B (t-n) a_n, for n = 2t .. 1."""
+    d = lcm(b.denominator, lam.denominator)
+    B, M = int(b * d), int(lam * d * d)
+    a = [0] * (2 * t + 2)
+    a[2 * t] = 1
+    for n in range(2 * t, 0, -1):
+        a[n - 1] = (M * (n + 1) * a[n + 1] - B * (t - n) * a[n]) // (2 * t - n + 1)
+    return LaurentPolynomial({(("rho", n - t),): Fraction(c, d ** (2 * t - n))
+                              for n, c in enumerate(a[:-1])})
 
 
 @lru_cache(maxsize=512)
 def _rho_denominator_inverse(y_start: int, y_end: int, L: int, w: WeightSpec):
-    """The series of (lam/rho - rho) * num / den, ``_ratio``'s rho ring, for every t."""
-    num, den = _ratio(y_start, y_end, L, w, "rho")
+    """The series of (lam/rho - rho) * num / den, ``_ratio``'s rho ring, for
+    every t; the uncached ratio, since only this state keeps num and den."""
+    num, den = _ratio.__wrapped__(y_start, y_end, L, w, "rho")
     return _Quotient(den, "rho", num * (monomial(w.background_lambda, rho=-1) - sym("rho")))
 
 

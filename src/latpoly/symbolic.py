@@ -174,6 +174,7 @@ def _reduced(d: int, nums: dict, bound: int) -> "LaurentPolynomial":
     p._bound = bound
     p._t = None
     p._hash = None
+    p._parts = None
     return p
 
 
@@ -208,8 +209,9 @@ class LaurentPolynomial:
     # the value is _num / _den in lowest terms: _num maps each packed
     # monomial key to a nonzero int and _den is the least common
     # denominator; _bound is at least every |exponent| of every field; _t
-    # holds the terms with decoded monomials, formed when first read
-    __slots__ = ("_den", "_num", "_bound", "_t", "_hash")
+    # holds the terms with decoded monomials, formed when first read, and
+    # _parts the last split, (var, {exponent: coefficient})
+    __slots__ = ("_den", "_num", "_bound", "_t", "_hash", "_parts")
 
     def __init__(self, terms=None):
         normalized: dict = {}
@@ -230,6 +232,7 @@ class LaurentPolynomial:
         self._bound = bound
         self._t = None
         self._hash = None
+        self._parts = None
 
     # -- inspection ---------------------------------------------------------
 
@@ -280,7 +283,10 @@ class LaurentPolynomial:
 
     def split(self, var: str) -> dict:
         """{exponent of var: its coefficient, a polynomial in the other
-        symbols}, built in one pass over the terms."""
+        symbols}, built in one pass over the terms when first asked for
+        ``var`` and kept; each call returns a new dict."""
+        if self._parts is not None and self._parts[0] == var:
+            return dict(self._parts[1])
         slot = _SLOTS.get(var)
         if slot is None:
             return {0: self} if self._num else {}
@@ -288,7 +294,9 @@ class LaurentPolynomial:
         parts: dict = {}
         for (m, c), e in zip(self._num.items(), _read_field(self._num, slot)):
             parts.setdefault(e, {})[m - (e << shift)] = c
-        return {e: _reduced(self._den, t, self._bound) for e, t in parts.items()}
+        parts = {e: _reduced(self._den, t, self._bound) for e, t in parts.items()}
+        self._parts = (var, parts)
+        return dict(parts)
 
     def coefficient_of(self, var: str, exponent: int) -> "LaurentPolynomial":
         """Coefficient of var**exponent, as a polynomial in the other symbols."""
@@ -739,6 +747,26 @@ class _Quotient:
                     terms.append(self._num[k])
                 c.append(_sum(terms))
             return c[:max(order + 1, 0)]
+
+
+class _Powers:
+    """base**0, base**1, ... of one polynomial, each built once, by one
+    product from the power below it; the list only grows, under the lock."""
+
+    __slots__ = ("_base", "_pw", "_lock")
+
+    def __init__(self, base: LaurentPolynomial):
+        self._base, self._pw, self._lock = base, [ONE], threading.Lock()
+
+    def __getitem__(self, e: int) -> LaurentPolynomial:
+        if e < 0:
+            raise ValueError(f"polynomial power requires a nonnegative integer, got {e}")
+        pw = self._pw
+        if len(pw) <= e:
+            with self._lock:
+                while len(pw) <= e:
+                    pw.append(pw[-1] * self._base)
+        return pw[e]
 
 
 # the state of 1/d, one per (d, var), shared by every order of series_invert

@@ -5,6 +5,7 @@ from __future__ import annotations
 import inspect
 import random
 import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from latpoly import (
     DmrParams,
     FourWeightParams,
     LatticePath,
+    LaurentPolynomial,
     ONE,
     RogersParams,
     SizeLimit,
@@ -26,6 +28,7 @@ from latpoly import (
     enumerate_paths,
     generating_function,
     h_factor,
+    monomial,
     path_weight,
     rho_ct,
     sym,
@@ -33,7 +36,7 @@ from latpoly import (
     viennot_ct,
 )
 import latpoly.engines as engines
-from latpoly.engines import _ratio, _signature_cells, cheb_ct
+from latpoly.engines import _brute_weights, _kernel_power, _ratio, _signature_cells, cheb_ct
 from util import (
     BACKGROUND_B_POOL,
     BACKGROUND_L_POOL,
@@ -150,6 +153,61 @@ def test_brute_force_cap():
         brute_force(StripQuery(70, 0, 0, 1), w, cap=100)
 
 
+def test_brute_force_builds_no_power_per_query(monkeypatch):
+    # a spec's power tables are kept with the spec: once a query at the
+    # largest t has filled them, queries at smaller t read them
+    kappa = sym("kappa")
+
+    def spec():  # an equal but new spec per query, as a benchmark job builds them
+        return WeightSpec(3, Fraction(1, 2), 2, across={1: kappa}, down={3: kappa + 1})
+
+    expected = {(t, y1): transfer_matrix(StripQuery(t, 0, y1, 3), spec())
+                for t in range(9) for y1 in range(4)}
+    _brute_weights.cache_clear()
+    assert brute_force(StripQuery(8, 0, 0, 3), spec()) == expected[8, 0]
+
+    def refuse(*args):
+        raise AssertionError("brute force formed a power")
+
+    monkeypatch.setattr(LaurentPolynomial, "__pow__", refuse)
+    for t in range(8, -1, -1):
+        for y1 in range(4):
+            q = StripQuery(t, 0, y1, 3)
+            assert brute_force(q, spec()) == expected[t, y1], q
+
+
+def test_brute_force_power_table_shared_across_threads():
+    w = WeightSpec(2, 1, 2, across={0: sym("beta")}, down={2: sym("kappa") - 1})
+    weights = [w.effective_b(0), w.effective_b(1), w.effective_lambda(2)]
+    orders = [3, 12, 7, 15, 1, 10, 15, 5]
+    expected = [[v ** e for e in range(16)] for v in weights]
+    failures = []
+
+    def worker(powers, slots, shift):
+        for e in orders[shift:] + orders[:shift]:
+            for i, v in enumerate(expected):
+                if powers[slots[i]][e] != v[e]:
+                    failures.append((i, e))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):  # each round grows fresh tables from 4 threads
+            _brute_weights.cache_clear()
+            _, slots, powers = _brute_weights(w)
+            slots = [slots[0], slots[1], slots[4]]  # fields b_0, b_1, lambda_2
+            threads = [threading.Thread(target=worker, args=(powers, slots, k))
+                       for k in range(0, 8, 2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
+
+
 def test_closed_brute_force_queries_fit_the_signature_cache():
     # the brute-force queries of the benchmark's closed workload, in its
     # order: 53 distinct (L, t) for 105 requests, so a second round of them
@@ -240,9 +298,8 @@ def test_rho_ct_deep_t_matches_transfer_matrix():
 
 
 def test_ratio_cache_is_history_independent():
-    """Viennot's ratio is cached per endpoint pair, strip, weights and ring,
-    and rho-ct's quotient series per endpoint pair, strip and weights, never
-    per t: every t order, pairs interleaved, and cleared caches give the
+    """Viennot's ratio in x and rho-ct's quotient series are each cached per
+    endpoint pair, strip and weights, never per t: every t order, pairs interleaved, and cleared caches give the
     same values."""
     w = WeightSpec(3, Fraction(1, 2), -2, across={0: sym("beta")}, down={3: sym("kappa")})
     pairs = ((0, 0), (0, 3), (2, 1), (3, 0))
@@ -262,8 +319,9 @@ def test_ratio_cache_is_history_independent():
 
     clear()
     rising = run([(y0, y1, t) for y0, y1 in pairs for t in ts])
-    # one x ratio and one rho ratio per pair, read by every t and engine
-    assert _ratio.cache_info().misses == 2 * len(pairs)
+    # one x ratio per pair, read by every t and both x engines; the rho
+    # ratio is built once per pair by the quotient state, outside the cache
+    assert _ratio.cache_info().misses == len(pairs)
     assert engines._rho_denominator_inverse.cache_info().misses == len(pairs)
     falling = run([(y0, y1, t) for y0, y1 in pairs for t in ts[::-1]])
     clear()
@@ -314,6 +372,23 @@ def test_rho_ct_two_wall_spec_deep():
     assert rho_ct(q, w) == cheb_ct(q, w)
 
 
+def test_kernel_power_matches_repeated_product():
+    rho = sym("rho")
+    for b in BACKGROUND_B_POOL + [2, Fraction(-3, 4)]:
+        for lam in BACKGROUND_L_POOL + [0, Fraction(2, 3)]:
+            kernel = rho + b + monomial(lam, rho=-1)
+            for t in range(31):
+                assert _kernel_power(b, lam, t) == kernel ** t, (b, lam, t)
+
+
+def test_rho_ct_rational_deep_matches_transfer_matrix():
+    # the kernel's coefficients come from a recurrence, so t = 1000 costs
+    # O(t) whole-number steps, not repeated squaring of a 2001-term power
+    w = WeightSpec(5, 1, 1, across={0: 2}, down={5: 3})
+    q = StripQuery(1000, 0, 0, 5)
+    assert rho_ct(q, w) == transfer_matrix(q, w)
+
+
 def test_cheb_ct_denominator_does_not_grow_with_L(monkeypatch):
     # with the decorations cut out, every factor of the denominator is a
     # two-term T_m, so a fixed decoration set keeps its term count at any L
@@ -344,6 +419,22 @@ def test_generating_function_examples():
     for t in range(0, 7):
         expected = lam1 ** (t // 2) if t % 2 == 0 else ZERO
         assert gf1.coefficient(t) == expected
+
+
+def test_x_engines_vanish_below_the_endpoint_gap():
+    # viennot-ct and gf read their product at x^(t - |y1 - y0|), and a
+    # length shorter than the gap between the endpoints reaches nothing
+    w = WeightSpec(4, 1, 2, across={2: sym("beta")}, down={3: sym("kappa")})
+    for y0, y1 in ((0, 4), (4, 0), (1, 3), (3, 0)):
+        gap = abs(y1 - y0)
+        for t in range(gap):
+            assert viennot_ct(StripQuery(t, y0, y1, 4), w) == ZERO, (y0, y1, t)
+            low = generating_function(y0, y1, 4, w, t)
+            assert low.coefficients() == {} and low.truncation_order == t
+        gf = generating_function(y0, y1, 4, w, gap + 3)
+        for t in range(gap + 4):
+            q = StripQuery(t, y0, y1, 4)
+            assert gf.coefficient(t) == viennot_ct(q, w) == transfer_matrix(q, w), q
 
 
 def test_five_way_agreement_small_grid():

@@ -35,6 +35,7 @@ from latpoly.symbolic import (
     _Quotient,
     _inverse_state,
     _inversion_order,
+    _sum,
 )
 
 RHO = sym("rho")
@@ -466,6 +467,28 @@ def test_mul_poly_single_coefficient(d, p, order):
             single.mul_poly(ONE)
     with pytest.raises(TruncationInsufficient):
         s.mul_poly(p, exponent=top + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys())
+def test_split_is_kept_and_every_call_gets_its_own_dict(p):
+    """A polynomial keeps its split, so the parts are built once; a caller
+    that mutates its dict leaves the next split whole, and a split by
+    another variable is still right."""
+    def expected(var):  # split of an equal polynomial, built afresh
+        return LaurentPolynomial(p.terms()).split(var)
+
+    first = p.split("rho")
+    assert first == expected("rho")
+    assert all(p.split("rho")[e] is c for e, c in first.items())
+    first.clear()
+    first[7] = sym("kappa")
+    assert p.split("rho") == expected("rho")
+    for var in ("x", "rho", "kappa", "rho"):
+        parts = p.split(var)
+        assert parts == expected(var), var
+        assert _sum([c * monomial(1, **{var: e}) for e, c in parts.items()]) == p
+        parts.pop(min(parts, default=0), None)
 
 
 @settings(max_examples=100, deadline=None)
