@@ -24,9 +24,9 @@ instead of truncating silently.
 
 Each sum builds every binomial triple and every power it uses once per
 call (:class:`~latpoly.symbolic._Powers` grows a power by one product from
-the one below), gathers a layer's pieces in a list and adds them in one
-dict with :func:`~latpoly.symbolic._sum`; a guard is checked on its summed
-layer.
+the one below), gathers a layer's pieces as pairs of factors and adds
+their products in one dict with :func:`~latpoly.symbolic._dot`; a guard is
+checked on its summed layer.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from math import comb, inf
 
 from .engines import StripQuery, cheb_ct
 from .errors import GuardViolation, IndexOutOfRange, InsufficientWeights
-from .symbolic import LaurentPolynomial, ONE, ZERO, _Powers, _sum, as_poly, sym
+from .symbolic import LaurentPolynomial, ONE, ZERO, _Powers, _dot, _sum, as_poly, sym
 from .orthopoly import WeightSpec
 
 _KH = sym("kappa_hat")
@@ -196,8 +196,8 @@ def dmr_sum(p: DmrParams) -> LaurentPolynomial:
         if m == r + 1:
             _check_guard(term, "guard layer of the single sum")
         if term:
-            pieces.append(term * kh[m])
-    layers = [_sum(pieces)]
+            pieces.append((as_poly(term), kh[m]))
+    layers = [_dot(pieces)]
 
     m_max = _last_m_layer(r, L)
     for m in range(1, m_max + 2):
@@ -224,10 +224,10 @@ def dmr_sum(p: DmrParams) -> LaurentPolynomial:
                             m + p2)
                         if not coeff:
                             continue
-                        piece = coeff * kh[s2 + p2] * oh[s1 + p1]
+                        piece = (coeff * kh[s2 + p2], oh[s1 + p1])
                         (guard if p1 + p2 == p_cap else pieces).append(piece)
-        _check_guard(_sum(guard), "guard diagonal of the p sums")
-        layer = _sum(pieces)
+        _check_guard(_dot(guard), "guard diagonal of the p sums")
+        layer = _dot(pieces)
         if m == m_max + 1:
             _check_guard(layer, "guard layer of the m sum")
         layers.append(layer)
@@ -279,8 +279,8 @@ def four_weight_sum(p: FourWeightParams) -> LaurentPolynomial:
         for j in range(0, i + 1):
             t = triple(r + 2 * i - j)
             if not t.is_zero:
-                pieces.append(binom(i, j) * kh12[j] * kh2[i - j] * t)
-        layer = _sum(pieces)
+                pieces.append((binom(i, j) * kh12[j] * kh2[i - j], t))
+        layer = _dot(pieces)
         if i == r + 1:
             _check_guard(layer, "guard layer of the double sum")
         layers.append(layer)
@@ -325,15 +325,15 @@ def four_weight_sum(p: FourWeightParams) -> LaurentPolynomial:
                                         common = (kh2[i1 + j1] * oh2[i2 + j2]
                                                   * oh12[m + v2 - s2 - j2])
                                         if c1 and not piece1.is_zero:
-                                            out.append(pref * c1 * common
-                                                       * kh12[e1] * piece1)
+                                            out.append((pref * c1 * common
+                                                        * kh12[e1], piece1))
                                         if c2 and not piece2.is_zero:
                                             # c2 != 0 forces s1 <= m-1, so the
                                             # exponent e1 - 1 is nonnegative
-                                            out.append(-pref * c2 * common
-                                                       * kh12[e1 - 1] * piece2)
-        _check_guard(_sum(guard), "guard diagonal of the v sums")
-        layer = _sum(pieces)
+                                            out.append((-pref * c2 * common
+                                                        * kh12[e1 - 1], piece2))
+        _check_guard(_dot(guard), "guard diagonal of the v sums")
+        layer = _dot(pieces)
         if m == m_max + 1:
             _check_guard(layer, "guard layer of the m sum")
         layers.append(layer)
@@ -378,7 +378,7 @@ def _stratum(n: int, l: int, powers: list) -> LaurentPolynomial:
     powers[i-1][e]; the chains' terms are summed in one dict."""
     if l == 0:
         return powers[0][n]
-    pieces = []
+    pairs = []
     chain = [n] + [0] * (l + 1)  # chain[0] = j_0 = n, chain[l+1] = 0
 
     def descend(depth: int):
@@ -389,12 +389,12 @@ def _stratum(n: int, l: int, powers: list) -> LaurentPolynomial:
                                chain[k] - chain[k + 1] - 1)
                 if coeff == 0:
                     return
+            factors = [powers[k][chain[k] - chain[k + 1]] for k in range(l + 1)
+                       if chain[k] != chain[k + 1]]
             term = as_poly(coeff)
-            for k in range(l + 1):
-                e = chain[k] - chain[k + 1]
-                if e:
-                    term = term * powers[k][e]
-            pieces.append(term)
+            for f in factors[:-1]:
+                term = term * f
+            pairs.append((term, factors[-1]))
             return
         lo = l + 1 - depth
         for j in range(lo, chain[depth - 1]):
@@ -403,7 +403,7 @@ def _stratum(n: int, l: int, powers: list) -> LaurentPolynomial:
         chain[depth] = 0
 
     descend(1)
-    return _sum(pieces)
+    return _dot(pairs)
 
 
 def rogers(n: int, L, kappas) -> LaurentPolynomial:

@@ -35,8 +35,8 @@ from .symbolic import (
     ZERO,
     _Powers,
     _Quotient,
+    _dot,
     _inversion_order,
-    _sum,
     as_poly,
     constant_term_ratio,
     monomial,
@@ -218,14 +218,14 @@ def _evaluate_signatures(cell: dict, slots: list, powers: list) -> LaurentPolyno
         key = tuple(exponents)
         grouped[key] = grouped.get(key, 0) + count
 
-    pieces = []
+    pairs = []
     for exponents, count in grouped.items():
+        factors = [powers[j][e] for j, e in enumerate(exponents) if e]
         piece = as_poly(count)
-        for j, e in enumerate(exponents):
-            if e:
-                piece = piece * powers[j][e]
-        pieces.append(piece)
-    return _sum(pieces)
+        for f in factors[:-1]:
+            piece = piece * f
+        pairs.append((piece, factors[-1] if factors else ONE))
+    return _dot(pairs)
 
 
 def brute_force(q: StripQuery, w: WeightSpec, cap: int = DEFAULT_BRUTE_CAP) -> LaurentPolynomial:
@@ -255,12 +255,12 @@ def _transfer_row(L: int, w: WeightSpec, y_start: int, t: int) -> tuple:
     prev = _transfer_row(L, w, y_start, t - 1)
     out = []
     for y in range(L + 1):
-        acc = prev[y] * w.effective_b(y)
+        pairs = [(prev[y], w.effective_b(y))]
         if y - 1 >= 0:
-            acc = acc + prev[y - 1]  # up step into y has weight 1
+            pairs.append((prev[y - 1], ONE))  # up step into y has weight 1
         if y + 1 <= L:
-            acc = acc + prev[y + 1] * w.effective_lambda(y + 1)
-        out.append(acc)
+            pairs.append((prev[y + 1], w.effective_lambda(y + 1)))
+        out.append(_dot(pairs))
     return tuple(out)
 
 
@@ -390,7 +390,7 @@ def rho_ct(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
     state = _rho_denominator_inverse(q.y_start, q.y_end, q.L, w)
     kernel = _kernel_power(w.background_b, w.background_lambda, q.t).split("rho")
     s = state.shift
-    return _sum([c * kernel[-s - k] for k, c in enumerate(state.upto(q.t - s))
+    return _dot([(c, kernel[-s - k]) for k, c in enumerate(state.upto(q.t - s))
                  if -s - k in kernel])
 
 
@@ -418,7 +418,7 @@ def cheb_ct(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
         terms = [(prod(map(s, orders), start=coeff), sum(m > 1 for m in orders))
                  for coeff, orders in _decoration_cut(k, j, w)]
         e = max(n for _, n in terms)
-        return _sum([t * d ** (e - n) for t, n in terms]), e
+        return _dot([(t, d ** (e - n)) for t, n in terms]), e
 
     (lo, e_lo), (hi, e_hi) = over_d(q.y_lo, 0), over_d(q.L - q.y_hi, q.y_hi + 1)
     den, e = over_d(q.L + 1, 0)

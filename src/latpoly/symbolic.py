@@ -31,6 +31,11 @@ numerators and reduce once, so whole and non-whole coefficients cost about
 the same; the coefficients themselves are formed when first read.  A
 constant polynomial hashes as its value, since it compares equal to it.
 
+A sum of products, which is how every engine reads its answer, goes
+through :func:`_dot`: each term product is added into one accumulator, as
+in Monagan and Pearce, and the sum is reduced once, so no product is built
+as a polynomial of its own.  ``*`` and :func:`_sum` keep their own loops.
+
 Only the distinguished series variable ``rho`` may carry negative exponents.
 All other symbols live in an ordinary polynomial ring; that restriction
 makes the precondition of :func:`series_invert` checkable in one pass over
@@ -198,6 +203,48 @@ def _sum(polys) -> "LaurentPolynomial":
     return _reduced(D, out, max(p._bound for p in polys))
 
 
+def _dot(pairs) -> "LaurentPolynomial":
+    """The sum of a * b over a sequence of pairs of polynomials.  Every term
+    product is added into one dict over one common denominator and the sum
+    is reduced once, so no product is formed on its own; the bounds are
+    checked as ``__mul__`` checks them, before any key is formed."""
+    if not pairs:
+        return ZERO
+    bound = _checked(max(a._bound + b._bound for a, b in pairs))
+    pairs = [(a, b) for a, b in pairs if a._num and b._num]
+    D = lcm(*[a._den * b._den for a, b in pairs])
+    out: dict = {}
+    get = out.get
+    for a, b in pairs:
+        k = D // (a._den * b._den)
+        x, y = a._num, b._num
+        if len(x) > len(y):
+            x, y = y, x
+        for m1, c1 in x.items():
+            c1 *= k
+            for m2, c2 in y.items():
+                m = m1 + m2
+                v = get(m, 0) + c1 * c2
+                if v:
+                    out[m] = v
+                elif m in out:
+                    del out[m]
+    return _reduced(D, out, bound)
+
+
+def _split(p: "LaurentPolynomial", var: str) -> dict:
+    """{exponent of var: its coefficient} of p in one pass over the terms;
+    :meth:`LaurentPolynomial.split` keeps what this returns."""
+    slot = _SLOTS.get(var)
+    if slot is None:
+        return {0: p} if p._num else {}
+    shift = _FIELD_BITS * slot
+    parts: dict = {}
+    for (m, c), e in zip(p._num.items(), _read_field(p._num, slot)):
+        parts.setdefault(e, {})[m - (e << shift)] = c
+    return {e: _reduced(p._den, t, p._bound) for e, t in parts.items()}
+
+
 class LaurentPolynomial:
     """Immutable exact polynomial, Laurent in ``rho`` only.
 
@@ -285,16 +332,10 @@ class LaurentPolynomial:
         """{exponent of var: its coefficient, a polynomial in the other
         symbols}, built in one pass over the terms when first asked for
         ``var`` and kept; each call returns a new dict."""
-        if self._parts is not None and self._parts[0] == var:
-            return dict(self._parts[1])
-        slot = _SLOTS.get(var)
-        if slot is None:
-            return {0: self} if self._num else {}
-        shift = _FIELD_BITS * slot
-        parts: dict = {}
-        for (m, c), e in zip(self._num.items(), _read_field(self._num, slot)):
-            parts.setdefault(e, {})[m - (e << shift)] = c
-        parts = {e: _reduced(self._den, t, self._bound) for e, t in parts.items()}
+        kept = self._parts
+        if kept is not None and kept[0] == var:
+            return dict(kept[1])
+        parts = _split(self, var)
         self._parts = (var, parts)
         return dict(parts)
 
@@ -416,7 +457,7 @@ class LaurentPolynomial:
                         {inv_mono: Fraction(1, 1) / coeff}) ** (-e)
             return power_cache[key]
 
-        out = ZERO
+        pairs = []
         for m, c in self._num.items():
             kept = m
             factor = None
@@ -426,8 +467,8 @@ class LaurentPolynomial:
                     factor = f if factor is None else factor * f
                     kept -= e << (_FIELD_BITS * _SLOTS[name])
             term = _reduced(self._den, {kept: c}, self._bound)
-            out = out + (term if factor is None else term * factor)
-        return out
+            pairs.append((term, ONE if factor is None else factor))
+        return _dot(pairs)
 
     def reverse(self, var: str, k: int) -> "LaurentPolynomial":
         """Exponent reversal e -> k - e in ``var`` (i.e. var**k * p(1/var)).
@@ -631,22 +672,17 @@ class TruncatedSeries:
         parts = as_poly(p).split(self.var)
         order = self.truncation_order + min(parts, default=0)
         if exponent is None:
-            out: dict = {}
+            pairs: dict = {}
             for pe, pc in parts.items():
                 for se, sc in self._coeffs.items():
-                    e = se + pe
-                    if e <= order:
-                        prod = sc * pc
-                        out[e] = out[e] + prod if e in out else prod
-            return TruncatedSeries(self.var, out, order)
+                    if se + pe <= order:
+                        pairs.setdefault(se + pe, []).append((sc, pc))
+            return TruncatedSeries(self.var, {e: _dot(ab) for e, ab in pairs.items()}, order)
         if exponent > order:
             raise TruncationInsufficient(
                 f"exponent {exponent} beyond truncation order {order}")
-        acc = ZERO
-        for pe, pc in parts.items():
-            sc = self._coeffs.get(exponent - pe)
-            if sc is not None:
-                acc = acc + sc * pc
+        acc = _dot([(self._coeffs[exponent - pe], pc) for pe, pc in parts.items()
+                    if exponent - pe in self._coeffs])
         single = TruncatedSeries(self.var, {exponent: acc}, order)
         single._only = exponent
         return single
@@ -709,10 +745,12 @@ class TruncatedSeries:
 @lru_cache(maxsize=64)
 def _unit_split(d: LaurentPolynomial, var: str) -> tuple:
     """Checked split d = var**m * u * (1 - sum_i t_i*var**i), u a nonzero
-    rational: m, 1/u and the pairs (i, t_i), shared by every quotient over d."""
+    rational: m, 1/u and the pairs (i, t_i), shared by every quotient over d.
+    The cache keeps d alive, so d's split is read but not kept: the t_i
+    already hold it."""
     if d.is_zero:
         raise NonUnitLeadingCoefficient("cannot invert the zero polynomial")
-    parts = d.split(var)
+    parts = _split(d, var)
     m = min(parts)
     lowest = parts.pop(m)
     if not lowest.is_rational:
@@ -742,10 +780,10 @@ class _Quotient:
         with self._lock:
             c = self._c
             for k in range(len(c), order + 1):
-                terms = [t * c[k - i] for i, t in self._tail if i <= k]
+                pairs = [(t, c[k - i]) for i, t in self._tail if i <= k]
                 if k in self._num:
-                    terms.append(self._num[k])
-                c.append(_sum(terms))
+                    pairs.append((self._num[k], ONE))
+                c.append(_dot(pairs))
             return c[:max(order + 1, 0)]
 
 

@@ -354,6 +354,24 @@ def test_rho_ct_forms_no_product_with_the_kernel(monkeypatch):
         assert rho_ct(StripQuery(t, y0, y1, 3), w) == value, (t, y0, y1)
 
 
+def test_fused_sums_form_no_product_of_their_own(monkeypatch):
+    # rho-ct's series extension and constant term and the transfer-matrix
+    # step add their products into one sum (symbolic._dot), so neither
+    # calls the ring's product
+    w = WeightSpec(2, 1, 2, across={0: sym("fused_beta")}, down={2: sym("fused_kappa")})
+    rho_q, row_q = StripQuery(7, 0, 2, 2), StripQuery(6, 1, 0, 2)
+    expected = {q: brute_force(q, w) for q in (rho_q, row_q)}
+    rho_ct(StripQuery(1, 0, 2, 2), w)  # warms the quotient state at order 1
+
+    def refuse(self, other):
+        raise AssertionError("a fused site formed a product")
+
+    monkeypatch.setattr(LaurentPolynomial, "__mul__", refuse)
+    monkeypatch.setattr(LaurentPolynomial, "__rmul__", refuse)
+    assert rho_ct(rho_q, w) == expected[rho_q]
+    assert transfer_matrix(row_q, w) == expected[row_q]
+
+
 def test_rho_ct_symbolic_t_sweep():
     # every weight a symbol of its own over rational backgrounds
     w = WeightSpec(3, 1, 2, across={i: sym(f"b{i}") for i in range(4)},

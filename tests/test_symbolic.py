@@ -33,9 +33,11 @@ from latpoly import (
 from latpoly.symbolic import (
     _NAMES as _slot_names,
     _Quotient,
+    _dot,
     _inverse_state,
     _inversion_order,
     _sum,
+    _unit_split,
 )
 
 RHO = sym("rho")
@@ -420,6 +422,30 @@ def test_non_int_exponent_refused():
     assert monomial(1, x=2) == X ** 2
 
 
+@st.composite
+def product_pairs(draw):
+    """Pairs of polynomials, some with a zero operand and some followed by
+    their own negation, so that parts of the sum cancel."""
+    pairs = []
+    for _ in range(draw(st.integers(0, 5))):
+        a, b = draw(polys()), draw(st.one_of(polys(), st.just(ZERO), st.just(ONE)))
+        pairs.append((a, b))
+        if draw(st.booleans()):
+            pairs.append((-a, b))
+    return draw(st.permutations(pairs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_pairs())
+def test_dot_is_the_sum_of_the_products(pairs):
+    got = _dot(pairs)
+    assert got == _sum([a * b for a, b in pairs])
+    # held in lowest terms: it hashes as the constructor's equal value
+    assert hash(got) == hash(LaurentPolynomial(got.terms()))
+    assert _dot([]) == ZERO
+    assert _dot(pairs + [(a, -b) for a, b in pairs]) == ZERO
+
+
 # -- the cached, order-extendable inverse and single-coefficient products -----
 
 @st.composite
@@ -489,6 +515,19 @@ def test_split_is_kept_and_every_call_gets_its_own_dict(p):
         assert parts == expected(var), var
         assert _sum([c * monomial(1, **{var: e}) for e, c in parts.items()]) == p
         parts.pop(min(parts, default=0), None)
+
+
+def test_unit_split_keeps_no_split_of_its_denominator():
+    # the cached split's tail already holds d's parts, so d (kept alive by
+    # the cache) does not keep them a second time
+    d = 2 - 3 * RHO + sym("unit_split_kappa") * RHO ** 2
+    inv = series_invert(d, 5)
+    hits = _unit_split.cache_info().hits
+    _unit_split(d, "rho")
+    assert _unit_split.cache_info().hits == hits + 1
+    assert d._parts is None
+    product = inv.mul_poly(d)
+    assert [product.coefficient(k) for k in range(6)] == [ONE] + [ZERO] * 5
 
 
 @settings(max_examples=100, deadline=None)
@@ -634,6 +673,16 @@ def test_exponent_past_the_field_refused():
         monomial(1, x=2 ** 30) * monomial(1, x=2 ** 30)
     top = monomial(1, x=2 ** 30 - 1) * monomial(1, x=2 ** 30, rho=-(2 ** 30 - 1))
     assert top.terms() == {(("rho", -(2 ** 30 - 1)), ("x", 2 ** 31 - 1)): 1}
+
+
+def test_dot_refuses_a_pair_past_the_field():
+    # the one pair whose bounds reach the limit fails the whole sum, as
+    # its product alone would
+    big = monomial(1, x=2 ** 30)
+    with pytest.raises(SizeLimit):
+        _dot([(ONE, X), (big, big), (X, X)])
+    top = _dot([(monomial(1, x=2 ** 30 - 1), big), (ONE, X)])
+    assert top == monomial(1, x=2 ** 31 - 1) + X
 
 
 def test_product_over_many_symbols_is_exact():
