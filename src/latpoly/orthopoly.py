@@ -42,7 +42,7 @@ class WeightSpec:
                  "_b", "_b_at", "_lambda", "_lambda_at")
 
     def __init__(self, L: int, b=0, lam=1, across=None, down=None):
-        if not isinstance(L, int) or L < 0:
+        if isinstance(L, bool) or not isinstance(L, int) or L < 0:
             raise ValueError(f"strip height must be a nonnegative integer, got {L!r}")
         self.strip_height = L
         self.background_b = _coerce_background(b, "background b")
@@ -65,7 +65,8 @@ class WeightSpec:
     def _check_decorations(values, lo: int, hi: int, what: str) -> dict:
         out = {}
         for height, value in (values or {}).items():
-            if not isinstance(height, int) or not lo <= height <= hi:
+            if (isinstance(height, bool) or not isinstance(height, int)
+                    or not lo <= height <= hi):
                 raise ValueError(f"{what} height {height!r} outside [{lo}, {hi}]")
             poly = as_poly(value)
             if not poly.is_zero:

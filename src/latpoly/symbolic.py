@@ -34,7 +34,8 @@ constant polynomial hashes as its value, since it compares equal to it.
 A sum of products, which is how every engine reads its answer, goes
 through :func:`_dot`: each term product is added into one accumulator, as
 in Monagan and Pearce, and the sum is reduced once, so no product is built
-as a polynomial of its own.  ``*`` and :func:`_sum` keep their own loops.
+as a polynomial of its own.  ``*`` is its case of one pair.  :func:`_sum`
+keeps its own loop, as a sum through ``_dot`` would pay a product per term.
 
 Only the distinguished series variable ``rho`` may carry negative exponents.
 All other symbols live in an ordinary polynomial ring; that restriction
@@ -185,7 +186,8 @@ def _reduced(d: int, nums: dict, bound: int) -> "LaurentPolynomial":
 
 def _sum(polys) -> "LaurentPolynomial":
     """The sum of a sequence of polynomials: the numerators are added as
-    ints over the common denominator, in one dict."""
+    ints over the common denominator, in one dict; sent through :func:`_dot`
+    with ``ONE`` partners, a sum would pay a product per term: nearly twice the time."""
     if not polys:
         return ZERO
     D = lcm(*[p._den for p in polys])
@@ -204,20 +206,24 @@ def _sum(polys) -> "LaurentPolynomial":
 
 
 def _dot(pairs) -> "LaurentPolynomial":
-    """The sum of a * b over a sequence of pairs of polynomials.  Every term
-    product is added into one dict over one common denominator and the sum
-    is reduced once, so no product is formed on its own; the bounds are
-    checked as ``__mul__`` checks them, before any key is formed."""
-    if not pairs:
-        return ZERO
-    bound = _checked(max(a._bound + b._bound for a, b in pairs))
-    pairs = [(a, b) for a, b in pairs if a._num and b._num]
-    D = lcm(*[a._den * b._den for a, b in pairs])
-    out: dict = {}
+    """The sum of a * b over an iterable of pairs of polynomials, in one pass.
+    Every term product is added into one dict over a common denominator,
+    rescaled only when a pair's denominator does not divide it, and the sum
+    is reduced once; a pair's bounds are checked before any of its keys."""
+    D, bound, out = 1, 0, {}
     get = out.get
     for a, b in pairs:
-        k = D // (a._den * b._den)
+        s = a._bound + b._bound
+        if s > bound:
+            bound = _checked(s)
         x, y = a._num, b._num
+        d = a._den * b._den
+        if D % d:
+            grow = d // gcd(D, d)
+            D *= grow
+            for m in out:
+                out[m] *= grow
+        k = D // d
         if len(x) > len(y):
             x, y = y, x
         for m1, c1 in x.items():
@@ -364,30 +370,12 @@ class LaurentPolynomial:
         return as_poly(other) + (-self)
 
     def __mul__(self, other):
-        # packed monomials multiply by adding their keys; the numerators are
-        # multiplied as ints and the product of the denominators divided out
-        # once, so the cost hardly depends on whether coefficients are whole
-        other = as_poly(other)
-        bound = _checked(self._bound + other._bound)
-        a, b = self._num, other._num
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict = {}
-        get = out.get
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = m1 + m2
-                v = get(m, 0) + c1 * c2
-                if v:
-                    out[m] = v
-                elif m in out:
-                    del out[m]
-        return _reduced(self._den * other._den, out, bound)
+        return _dot(((self, as_poly(other)),))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise ValueError("polynomial power requires a nonnegative integer")
         result = ONE
         base = self
@@ -435,27 +423,19 @@ class LaurentPolynomial:
         anything else raises NonInvertibleSubstitution.
         """
         bound = {name: as_poly(v) for name, v in bindings.items()}
-        power_cache: dict = {}
+        tables: dict = {}  # (name, e < 0) -> powers of the binding or its inverse
 
         def bound_power(name: str, e: int) -> LaurentPolynomial:
-            key = (name, e)
-            if key not in power_cache:
+            table = tables.get((name, e < 0))
+            if table is None:
                 p = bound[name]
-                if e >= 0:
-                    power_cache[key] = p ** e
-                else:
-                    if p.term_count() != 1:
+                if e < 0:
+                    p = _monomial_inverse(p)
+                    if p is None:
                         raise NonInvertibleSubstitution(
-                            f"cannot raise non-monomial binding of {name!r} to power {e}")
-                    (mono, coeff), = p.terms().items()
-                    inv_mono = tuple((n, -k) for n, k in mono)
-                    for n, k in inv_mono:
-                        if k < 0 and n != SERIES_VAR:
-                            raise NonInvertibleSubstitution(
-                                f"inverse of binding for {name!r} leaves the ring")
-                    power_cache[key] = LaurentPolynomial(
-                        {inv_mono: Fraction(1, 1) / coeff}) ** (-e)
-            return power_cache[key]
+                            f"binding of {name!r} to power {e} is not one term in rho")
+                table = tables[(name, e < 0)] = _Powers(p)
+            return table[abs(e)]
 
         pairs = []
         for m, c in self._num.items():
@@ -787,6 +767,16 @@ class _Quotient:
             return c[:max(order + 1, 0)]
 
 
+def _monomial_inverse(p: LaurentPolynomial) -> LaurentPolynomial | None:
+    """1/p when p is one term in rho alone, the only inverse that stays in
+    the ring; None for any other p.  Each caller raises its own error."""
+    if len(p._num) != 1 or _read_field(p._num, 0) != list(p._num):
+        return None
+    (m, v), = p._num.items()
+    c = Fraction(p._den, v)
+    return _reduced(c.denominator, {-m: c.numerator}, p._bound)
+
+
 class _Powers:
     """base**0, base**1, ... of one polynomial, each built once, by one
     product from the power below it; the list only grows, under the lock."""
@@ -936,12 +926,9 @@ def parse_polynomial(text: str, allowed_symbols=None) -> LaurentPolynomial:
                 raise ValueError("exponent must be an integer")
             e = sign * exp_val.numerator
             if e < 0:
-                # only rho tolerates this; delegate the check to substitution
-                if base.term_count() != 1:
-                    raise ValueError("negative power of a non-monomial")
-                (mono, coeff), = base.terms().items()
-                inv = LaurentPolynomial({tuple((n, -k) for n, k in mono):
-                                         Fraction(1) / coeff})
+                inv = _monomial_inverse(base)
+                if inv is None:
+                    raise ValueError(f"negative power of {base}, not one term in rho")
                 return inv ** (-e)
             return base ** e
         return base

@@ -5,7 +5,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -327,3 +330,18 @@ def test_readme_dmr_example_output(capsys):
     code, out, _ = run_cli(argv, capsys)
     assert (code, out) == (0, expected + "\n")
     assert expected == "kappa^2 + kappa*omega"
+
+
+def test_python_dash_m_runs_the_cli():
+    # a checkout without the installed script reaches the same command line
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "latpoly", *argv],
+                              capture_output=True, text=True, env=env)
+
+    ok = run(*DMR_2_2)
+    assert (ok.returncode, ok.stdout) == (0, "kappa^2 + kappa*omega\n")
+    bad = run(*DMR_2_2, "--engines", "no-such-engine")
+    assert bad.returncode == 2 and bad.stderr.startswith("error:")

@@ -169,6 +169,16 @@ def test_weight_spec_validation():
     WeightSpec.generic(3)
 
 
+def test_weight_spec_refuses_bool_heights():
+    # True is an int to Python, but neither a strip height nor a height
+    with pytest.raises(ValueError):
+        WeightSpec(True)
+    with pytest.raises(ValueError):
+        WeightSpec(2, down={True: sym("kappa")})
+    with pytest.raises(ValueError):
+        WeightSpec(2, across={False: sym("kappa")})
+
+
 def test_weight_spec_whole_background_is_int():
     w = WeightSpec(1, Fraction(4, 2), 1)
     assert type(w.background_b) is int

@@ -44,15 +44,20 @@ def test_benchmark_tracer_names_exist():
     assert missing == []
 
 
-def test_bench_pairs_reads_a_benchmark_run():
-    # tools/bench_pairs.py reads perfbench/run.py's stdout (a metadata line,
-    # the result last), so a change to that layout must fail here
+def _bench_pairs():
     root = Path(__file__).resolve().parents[1]
     spec = importlib.util.spec_from_file_location("bench_pairs",
                                                   root / "tools" / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
-    run = bench_pairs._run(root, "closed", 1, 0, "--tiny")
+    return bench_pairs
+
+
+def test_bench_pairs_reads_a_benchmark_run():
+    # tools/bench_pairs.py reads perfbench/run.py's stdout (a metadata line,
+    # the result last), so a change to that layout must fail here
+    root = Path(__file__).resolve().parents[1]
+    run = _bench_pairs()._run(root, "closed", 1, 0, "--tiny")
     assert run["failed"] == 0 and run["attempted"] > 0
     assert run["host_slowdown"] > 0
     # the record summarizes every end-to-end metric the benchmark declares
@@ -64,10 +69,7 @@ def test_bench_pairs_lets_run_write_bytecode(monkeypatch):
     # both checkouts of a record must read their set-up from bytecode caches
     # that run.py wrote, whatever the calling shell says
     root = Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location("bench_pairs",
-                                                  root / "tools" / "bench_pairs.py")
-    bench_pairs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_pairs)
+    bench_pairs = _bench_pairs()
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     seen = {}
 
@@ -80,3 +82,31 @@ def test_bench_pairs_lets_run_write_bytecode(monkeypatch):
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
     bench_pairs._run(root, "closed", 1, 0)
     assert seen and "PYTHONDONTWRITEBYTECODE" not in seen
+
+
+def test_bench_pairs_runs_the_workloads_the_benchmark_names(tmp_path, monkeypatch):
+    # a workload added to BENCHMARK.json is paired without editing the tool,
+    # and the commits are read from whichever workload comes first
+    bench_pairs = _bench_pairs()
+    roots = {side: tmp_path / side for side in ("parent", "change")}
+    for root in roots.values():
+        root.mkdir()
+    (roots["change"] / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 0, "workloads": [{"name": "deep"}, {"name": "grid"}],
+        "end_to_end": [{"name": "throughput_qps", "better": "higher"}]}))
+    calls = []
+
+    def fake_run(root, workload, seed, seconds):
+        calls.append((root.name, workload))
+        return {"seed": seed, "commit": f"{root.name}-{workload}", "dirty": False,
+                "host_slowdown": 1.0, "attempted": 1, "failed": 0,
+                "metrics": {"throughput_qps": float(seed)}}
+
+    monkeypatch.setattr(bench_pairs, "_run", fake_run)
+    out = tmp_path / "record.json"
+    assert bench_pairs.main(["--parent", str(roots["parent"]), "--change",
+                             str(roots["change"]), "--pairs", "2", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert list(record["workloads"]) == ["deep", "grid"]
+    assert record["commits"] == {"parent": "parent-deep", "change": "change-deep"}
+    assert {w for _, w in calls} == {"deep", "grid"} and len(calls) == 8

@@ -122,6 +122,14 @@ def test_negative_power_rejected():
         (RHO + 1) ** -1
 
 
+def test_bool_power_refused():
+    # True is an int to Python, but not an exponent, as monomial(1, x=True)
+    # already says
+    for n in (True, False):
+        with pytest.raises(ValueError):
+            X ** n
+
+
 # -- constant term ------------------------------------------------------------
 
 def test_constant_term_examples():
@@ -254,6 +262,47 @@ def test_render_ordering():
     assert (X * 0).render() == "0"
     assert (-X + 1).render() == "-x + 1"
     assert (Fraction(3, 2) * X).render() == "3/2*x"
+
+
+def _in_documented_order(p, fmt) -> str:
+    """p's text with its terms in the documented order, each term written
+    as a one-term polynomial: descending total degree, then descending
+    exponent vector over the sorted names of p's symbols."""
+    terms = p.terms()
+    names = sorted({n for mono in terms for n, _ in mono})
+
+    def key(mono):
+        exps = dict(mono)
+        return sum(exps.values()), [exps.get(n, 0) for n in names]
+
+    text = ""
+    for mono in sorted(terms, key=key, reverse=True):
+        c = terms[mono]
+        body = fmt(LaurentPolynomial({mono: abs(c)}))
+        if not text:
+            text = body if c > 0 else f"-{body}"
+        else:
+            text += f" {'+' if c > 0 else '-'} {body}"
+    return text or "0"
+
+
+@st.composite
+def prefix_named_polys(draw):
+    """Terms over names that are prefixes of one another, and rho."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        mono = tuple((n, draw(st.integers(0, 3))) for n in ("b", "b0", "b_0", "bb"))
+        mono += (("rho", draw(st.integers(-3, 2))),)
+        coeff = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+        terms[mono] = coeff
+    return LaurentPolynomial(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(prefix_named_polys())
+def test_render_and_latex_follow_the_documented_term_order(p):
+    assert p.render() == _in_documented_order(p, LaurentPolynomial.render)
+    assert p.latex() == _in_documented_order(p, LaurentPolynomial.latex)
 
 
 def test_latex():
@@ -435,15 +484,34 @@ def product_pairs(draw):
     return draw(st.permutations(pairs))
 
 
+def _schoolbook_dot(pairs) -> dict:
+    out: dict = {}
+    for a, b in pairs:
+        out = _schoolbook(out, _schoolbook(_fraction_terms(a), _fraction_terms(b)), 1)
+    return out
+
+
 @settings(max_examples=150, deadline=None)
 @given(product_pairs())
 def test_dot_is_the_sum_of_the_products(pairs):
     got = _dot(pairs)
-    assert got == _sum([a * b for a, b in pairs])
+    assert got.terms() == _schoolbook_dot(pairs)
     # held in lowest terms: it hashes as the constructor's equal value
     assert hash(got) == hash(LaurentPolynomial(got.terms()))
     assert _dot([]) == ZERO
     assert _dot(pairs + [(a, -b) for a, b in pairs]) == ZERO
+
+
+def test_dot_grows_its_denominator_then_reduces():
+    # the pairs bring denominators 1, 3, 2 and 6 in that order, so the
+    # accumulator is rescaled twice while it holds terms; the last pair
+    # cancels the third, and the sum 6x + 3y over 6 reduces to (2x + y)/2
+    y = sym("y")
+    half, third, sixth = (as_poly(Fraction(1, n)) for n in (2, 3, 6))
+    pairs = [(X, ONE), (y, third), (X, half), (sixth, y), (-half, X)]
+    got = _dot(iter(pairs))
+    assert got.terms() == _schoolbook_dot(pairs) == {(("x", 1),): 1, (("y", 1),): Fraction(1, 2)}
+    assert got._den == 2 and hash(got) == hash(LaurentPolynomial(got.terms()))
 
 
 # -- the cached, order-extendable inverse and single-coefficient products -----

@@ -2,9 +2,9 @@
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --pairs 10 --out BENCH.json
 
-For each pair and each workload (grid, swell, closed) it runs
-``perfbench/run.py --trace 0`` once in each checkout on the same fresh
-seed, for the ``run_seconds`` that the change's BENCHMARK.json sets.  It
+For each pair and each workload that the change's BENCHMARK.json names,
+in its order, it runs ``perfbench/run.py --trace 0`` once in each checkout
+on the same fresh seed, for the ``run_seconds`` that file sets.  It
 alternates which checkout runs first from one pair to the next, so that
 a drift of the host's speed falls on both sides alike.  The record
 holds both commits, the Python version, every run's metrics and, per side,
@@ -23,7 +23,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ("grid", "swell", "closed")
 SIDES = ("parent", "change")
 
 
@@ -83,11 +82,12 @@ def main(argv=None) -> int:
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
 
-    runs = {w: {side: [] for side in SIDES} for w in WORKLOADS}
+    runs = {w: {side: [] for side in SIDES} for w in workloads}
     for i in range(args.pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
-        for workload in WORKLOADS:
+        for workload in workloads:
             for side in order:
                 run = _run(roots[side], workload, args.seed + i, seconds)
                 run["first"] = side == order[0]
@@ -98,11 +98,11 @@ def main(argv=None) -> int:
     record = {
         "python": platform.python_version(),
         # as each checkout's runs report it (run.py's git revision)
-        "commits": {side: runs["grid"][side][0]["commit"] for side in SIDES},
+        "commits": {side: runs[workloads[0]][side][0]["commit"] for side in SIDES},
         "pairs": args.pairs, "seconds": seconds,
         "seeds": [args.seed + i for i in range(args.pairs)],
         "workloads": {w: {"summary": _summary(runs[w], better), "runs": runs[w]}
-                      for w in WORKLOADS},
+                      for w in workloads},
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
