@@ -67,7 +67,7 @@ class WeightSpec:
         for height, value in (values or {}).items():
             if (isinstance(height, bool) or not isinstance(height, int)
                     or not lo <= height <= hi):
-                raise ValueError(f"{what} height {height!r} outside [{lo}, {hi}]")
+                raise ValueError(f"{what} height {height!r} is not an integer in [{lo}, {hi}]")
             poly = as_poly(value)
             if not poly.is_zero:
                 out[height] = poly
