@@ -102,6 +102,8 @@ def parse_weights(text: str) -> WeightSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("", f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError("", "invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise SchemaError("", "top-level object required")
     allowed = {"b", "lambda", "L", "across_decorations", "down_decorations"}

@@ -370,39 +370,29 @@ def stratified_weight(n: int, l: int, kappas) -> LaurentPolynomial:
     if len(kappas) < l + 1:
         raise InsufficientWeights(
             f"stratum {l} needs {l + 1} down weights, got {len(kappas)}")
-    return _stratum(n, l, [_Powers(k) for k in kappas[:l + 1]])
+    return _strata(n, range(l, l + 1), [_Powers(k) for k in kappas[:l + 1]])
 
 
-def _stratum(n: int, l: int, powers: list) -> LaurentPolynomial:
-    """:func:`stratified_weight` for 0 <= l < n, reading kappa_i**e as
-    powers[i-1][e]; the chains' terms are summed in one dict."""
-    if l == 0:
-        return powers[0][n]
+def _strata(n: int, levels: range, powers: list) -> LaurentPolynomial:
+    """The sum of the strata l in ``levels`` (0 <= l < n) of
+    :func:`stratified_weight`, kappa_i**e read as powers[i-1][e]: one
+    depth-first walk over the chains n = j_0 > j_1 > ... > 0 closes a chain
+    with j_(l+1) = 0 at each l in ``levels``.  It carries j_(k-1), j_k, the
+    binomials and the product of the powers so far, so siblings share their
+    prefix; j_(-1) = n + 1 makes the first binomial C(n - j_1, 0) = 1, and
+    on a strictly decreasing chain every binomial is positive."""
     pairs = []
-    chain = [n] + [0] * (l + 1)  # chain[0] = j_0 = n, chain[l+1] = 0
 
-    def descend(depth: int):
-        if depth > l:
-            coeff = 1
-            for k in range(l):
-                coeff *= binom(chain[k] - chain[k + 2] - 1,
-                               chain[k] - chain[k + 1] - 1)
-                if coeff == 0:
-                    return
-            factors = [powers[k][chain[k] - chain[k + 1]] for k in range(l + 1)
-                       if chain[k] != chain[k + 1]]
-            term = as_poly(coeff)
-            for f in factors[:-1]:
-                term = term * f
-            pairs.append((term, factors[-1]))
-            return
-        lo = l + 1 - depth
-        for j in range(lo, chain[depth - 1]):
-            chain[depth] = j
-            descend(depth + 1)
-        chain[depth] = 0
+    def walk(k: int, before: int, j: int, coeff: int, prefix: LaurentPolynomial):
+        if k in levels:
+            pairs.append((prefix * (coeff * binom(before - 1, before - j - 1)),
+                          powers[k][j]))
+        if k + 1 < levels.stop:
+            for nxt in range(max(levels.start - k, 1), j):
+                walk(k + 1, j, nxt, coeff * binom(before - nxt - 1, before - j - 1),
+                     prefix * powers[k][j - nxt])
 
-    descend(1)
+    walk(0, n + 1, n, 1, ONE)
     return _dot(pairs)
 
 
@@ -410,7 +400,7 @@ def rogers(n: int, L, kappas) -> LaurentPolynomial:
     """Weight polynomial of all length-2n Dyck paths in a strip of height L
     (L may be None or infinity for the half plane), as the sum of the
     maximum-height strata.  Needs min(n, L) down weights.  The kappas are
-    coerced once and each of their powers is built once, for every stratum."""
+    coerced once, and one walk over the chains serves every stratum."""
     if n < 0:
         raise ValueError(f"half-length must be nonnegative, got {n}")
     if n == 0:
@@ -425,8 +415,7 @@ def rogers(n: int, L, kappas) -> LaurentPolynomial:
     if len(kappas) < l_max + 1:
         raise InsufficientWeights(
             f"need {l_max + 1} down weights, got {len(kappas)}")
-    powers = [_Powers(k) for k in kappas]  # shared by the strata
-    return _sum([_stratum(n, l, powers) for l in range(l_max + 1)])
+    return _strata(n, range(l_max + 1), [_Powers(k) for k in kappas])
 
 
 def rogers_weight_spec(L: int, kappas) -> WeightSpec:

@@ -37,6 +37,7 @@ from .symbolic import (
     _Quotient,
     _dot,
     _inversion_order,
+    _ratio_coefficient,
     as_poly,
     constant_term_ratio,
     monomial,
@@ -308,20 +309,6 @@ def _ratio(y_start: int, y_end: int, L: int, w: WeightSpec, ring: str) -> tuple:
     return num, f(ortho_poly(L + 1, 0, w))
 
 
-def _x_product(q: StripQuery, w: WeightSpec, e: int,
-               whole: bool = False) -> TruncatedSeries:
-    """The ratio under ``reciprocal``, as a series in x, the denominator
-    inverted just far enough to read x^e: the x^e coefficient alone, or with
-    ``whole`` every coefficient up to it (all zero when the numerator is).
-    The cached numerator is multiplied as it is, so its split is reused; the
-    generating function's x^t coefficient is this series' x^(t-Y+Y')."""
-    num, den = _ratio(q.y_start, q.y_end, q.L, w, "x")
-    if num.is_zero:
-        return TruncatedSeries("x", {}, e)
-    inv = series_invert(den, _inversion_order(num, den, e, "x"), var="x")
-    return inv.mul_poly(num, None if whole else e)
-
-
 def viennot_ct(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
     """Coefficient of x^t in the rational generating function x^(Y-Y')
     times Viennot's ratio (see ``_ratio``) of reciprocal polynomials.  The
@@ -331,7 +318,9 @@ def viennot_ct(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
     if q.L != w.strip_height:
         raise ValueError(f"query strip L={q.L} != weights strip L={w.strip_height}")
     e = q.t - (q.y_hi - q.y_lo)
-    return _x_product(q, w, e).coefficient(e) if e >= 0 else ZERO
+    if e < 0:
+        return ZERO
+    return _ratio_coefficient(*_ratio(q.y_start, q.y_end, q.L, w, "x"), e, "x")
 
 
 def generating_function(y_start: int, y_end: int, L: int, w: WeightSpec,
@@ -343,7 +332,12 @@ def generating_function(y_start: int, y_end: int, L: int, w: WeightSpec,
     if L != w.strip_height:
         raise ValueError(f"argument L={L} != weights strip L={w.strip_height}")
     d = q.y_hi - q.y_lo
-    product = _x_product(q, w, order - d, whole=True)
+    num, den = _ratio(y_start, y_end, L, w, "x")
+    if num.is_zero:
+        return TruncatedSeries("x", {}, order)
+    # the cached numerator is multiplied as it is, so its split is reused
+    inv = series_invert(den, _inversion_order(num, den, order - d, "x"), var="x")
+    product = inv.mul_poly(num)
     coeffs = {e: product.coefficient(e - d) for e in range(d, order + 1)}
     return TruncatedSeries("x", coeffs, order)
 

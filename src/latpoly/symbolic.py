@@ -830,15 +830,19 @@ def _inversion_order(num: LaurentPolynomial, den: LaurentPolynomial,
     return max(exponent + den.min_exponent(var) - num.min_exponent(var), 0)
 
 
+def _ratio_coefficient(num, den, e: int, var: str) -> LaurentPolynomial:
+    """Coefficient of var**e in num/den under the series expansion around
+    the origin, with den inverted just far enough to read it."""
+    if num.is_zero:
+        return ZERO
+    inv = series_invert(den, _inversion_order(num, den, e, var), var)
+    return inv.mul_poly(num, e).coefficient(e)
+
+
 def constant_term_ratio(num, den) -> LaurentPolynomial:
     """Constant term in rho of num/den under the series expansion around the
     origin, with den inverted just far enough to read it."""
-    num = as_poly(num)
-    den = as_poly(den)
-    if num.is_zero:
-        return ZERO
-    inv = series_invert(den, _inversion_order(num, den, 0, SERIES_VAR))
-    return inv.mul_poly(num, exponent=0).constant_term()
+    return _ratio_coefficient(as_poly(num), as_poly(den), 0, SERIES_VAR)
 
 
 # -- expression parsing -------------------------------------------------------
@@ -849,6 +853,7 @@ _TOKEN_RE = re.compile(
 
 
 def _tokenize(text: str):
+    text = text.strip()
     pos = 0
     tokens = []
     while pos < len(text):
@@ -878,7 +883,8 @@ def parse_polynomial(text: str, allowed_symbols=None) -> LaurentPolynomial:
     Grammar: sums/differences of products of powers; atoms are integer or
     p/q rational literals, symbol names, and parenthesized expressions.
     Exponents are integers (negative only where the ring allows it).
-    Floating literals are rejected.
+    Floating literals, an empty expression and one nested past the
+    interpreter's recursion limit are refused with ``ValueError``.
     """
     tokens = _tokenize(text)
     pos = 0
@@ -890,7 +896,8 @@ def parse_polynomial(text: str, allowed_symbols=None) -> LaurentPolynomial:
         nonlocal pos
         tk, tv = tokens[pos]
         if tk != kind or (value is not None and tv != value):
-            raise ValueError(f"expected {value or kind} near token {tv!r}")
+            where = "at the end" if tk == "end" else f"near token {tv!r}"
+            raise ValueError(f"expected {value or kind} {where}")
         pos += 1
         return tv
 
@@ -948,8 +955,13 @@ def parse_polynomial(text: str, allowed_symbols=None) -> LaurentPolynomial:
             inner = parse_expr()
             take("op", ")")
             return inner
+        if kind == "end":
+            raise ValueError("unexpected end of expression" if pos else "the expression is empty")
         raise ValueError(f"unexpected token {value!r}")
 
-    result = parse_expr()
+    try:
+        result = parse_expr()
+    except RecursionError:
+        raise ValueError("the expression is nested too deeply") from None
     take("end")
     return result

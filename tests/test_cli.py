@@ -170,6 +170,14 @@ def test_parse_weights_schema_errors():
         parse_weights(json.dumps({"b": 0, "lambda": 1, "L": 2, "zzz": 1}))
     with pytest.raises(SchemaError):
         parse_weights("not json")
+    for text in ("[" * 100_000, "{\"b\": " + "[" * 100_000):
+        with pytest.raises(SchemaError, match="nested too deeply"):
+            parse_weights(text)
+    doc = {"b": 0, "lambda": 1, "L": 1,
+           "down_decorations": {"1": "(" * 1200 + "k" + ")" * 1200}}
+    with pytest.raises(SchemaError, match="nested too deeply") as exc:
+        parse_weights(json.dumps(doc))
+    assert exc.value.pointer == "/down_decorations/1"
 
 
 def test_parse_weights_rational_background():
@@ -233,9 +241,18 @@ DMR_2_2 = ["compute", "--model", "dmr", "--param", "r=2", "--param", "L=2"]
     (["bench", "--sweep", "r:1:2", "--model", "rogers", "--param", "n=3"],
      "--sweep r takes no --param n"),
     (["crosscheck", "--L", "1", "--t", "1", "--format", "latex"], "not latex"),
+    (["compute", "--model", "dmr", "--param", "r=1", "--param", "L=2",
+      "--param", "kappa=" + "(" * 1200 + "x" + ")" * 1200], "nested too deeply"),
+    (["compute", "--weights", "deep.json"], "nested too deeply"),
+    (["compute", "--model", "rogers", "--param", "n=2", "--param", "kappas="],
+     "the expression is empty"),
+    (["compute", "--model", "rogers", "--param", "n=3", "--param", "kappas=a,,b"],
+     "the expression is empty"),
+    (DMR_2_2 + ["--param", "kappa= "], "the expression is empty"),
 ])
 def test_invalid_input_one_line_error_exit_2(args, message, tmp_path, monkeypatch, capsys):
     (tmp_path / "w.json").write_text(DMR_JSON)
+    (tmp_path / "deep.json").write_text("[" * 100_000)
     (tmp_path / "zero.json").write_text(json.dumps(
         {"b": 0, "lambda": 1, "L": 1, "down_decorations": {"1": "1/0"}}))
     monkeypatch.chdir(tmp_path)

@@ -335,15 +335,24 @@ def test_rogers_half_plane_equivalent():
 
 
 def test_strata_match_filtered_enumeration():
-    n = 5
-    for l in range(0, n):
-        L = l + 1
-        w = rogers_weight_spec(L, KAPPAS)
-        total = ZERO
-        for p in enumerate_paths(2 * n, 0, L, 0):
-            if p.max_height() == l + 1:
-                total = total + path_weight(p, w)
-        assert stratified_weight(n, l, KAPPAS) == total, l
+    """For n <= 8 every stratum l < n, each a one-level walk past l = 0, is
+    the weight of the paths whose maximum height is l + 1, and the strata
+    sum to the half-plane rogers; with symbolic kappas and with rational
+    ones and a zero among symbols."""
+    for n in range(1, 9):
+        # the across steps weigh b = 0, so only the Dyck paths count
+        dyck = [p for p in enumerate_paths(2 * n, 0, n, 0) if "across" not in p.steps]
+        mixed = _decorations(KAPPAS[:n], n)
+        mixed[n // 2] = 0
+        for kappas in (KAPPAS[:n], mixed):
+            w = rogers_weight_spec(n, kappas)
+            by_height = {}
+            for p in dyck:
+                h = p.max_height()
+                by_height[h] = by_height.get(h, ZERO) + path_weight(p, w)
+            strata = [stratified_weight(n, l, kappas) for l in range(n)]
+            assert strata == [by_height.get(l + 1, ZERO) for l in range(n)], (n, kappas)
+            assert sum(strata, ZERO) == rogers(n, None, kappas), (n, kappas)
 
 
 def test_strata_support_and_errors():

@@ -333,6 +333,17 @@ def test_parse_polynomial():
         parse_polynomial("x^-1")
     with pytest.raises(ValueError):
         parse_polynomial("kappa-1", allowed_symbols={"omega"})
+    for text in ("", "   ", "\t"):
+        with pytest.raises(ValueError, match="the expression is empty"):
+            parse_polynomial(text)
+    with pytest.raises(ValueError, match="unexpected end of expression"):
+        parse_polynomial("x +")
+    with pytest.raises(ValueError, match="expected \\) at the end"):
+        parse_polynomial("(x")
+    with pytest.raises(ValueError, match="nested too deeply"):
+        parse_polynomial("(" * 1200 + "x" + ")" * 1200)
+    assert parse_polynomial("(" * 50 + "x" + ")" * 50) == X
+    assert parse_polynomial(" x + 1 ") == X + 1
 
 
 def test_whole_coefficients_are_int():
