@@ -37,8 +37,8 @@ from functools import cached_property, lru_cache
 from math import comb, inf
 
 from .engines import StripQuery, cheb_ct
-from .errors import GuardViolation, IndexOutOfRange, InsufficientWeights
-from .symbolic import LaurentPolynomial, ONE, ZERO, _Powers, _dot, _sum, as_poly, sym
+from .errors import GuardViolation, IndexOutOfRange, InsufficientWeights, SizeLimit
+from .symbolic import LaurentPolynomial, ONE, ZERO, _Powers, _dot, as_poly, sym
 from .orthopoly import WeightSpec
 
 _KH = sym("kappa_hat")
@@ -47,6 +47,8 @@ _KH1 = sym("kappa_hat_1")
 _KH2 = sym("kappa_hat_2")
 _OH1 = sym("omega_hat_1")
 _OH2 = sym("omega_hat_2")
+
+_MAX_CHAINS = 1 << 17  # the most chains one Rogers query may walk
 
 
 def binom(n: int, k: int) -> int:
@@ -196,7 +198,7 @@ def dmr_sum(p: DmrParams) -> LaurentPolynomial:
         if m == r + 1:
             _check_guard(term, "guard layer of the single sum")
         if term:
-            pieces.append((as_poly(term), kh[m]))
+            pieces.append((term, kh[m]))
     layers = [_dot(pieces)]
 
     m_max = _last_m_layer(r, L)
@@ -231,7 +233,8 @@ def dmr_sum(p: DmrParams) -> LaurentPolynomial:
         if m == m_max + 1:
             _check_guard(layer, "guard layer of the m sum")
         layers.append(layer)
-    return _sum(layers).substitute({"kappa_hat": p.kappa - 1, "omega_hat": p.omega - 1})
+    return _dot([(1, layer) for layer in layers]).substitute(
+        {"kappa_hat": p.kappa - 1, "omega_hat": p.omega - 1})
 
 
 def four_weight_ct(p: FourWeightParams) -> LaurentPolynomial:
@@ -337,7 +340,7 @@ def four_weight_sum(p: FourWeightParams) -> LaurentPolynomial:
         if m == m_max + 1:
             _check_guard(layer, "guard layer of the m sum")
         layers.append(layer)
-    return _sum(layers).substitute(
+    return _dot([(1, layer) for layer in layers]).substitute(
         {"kappa_hat_1": p.kappa1 - 1, "kappa_hat_2": p.kappa2 - 1,
          "omega_hat_1": p.omega1 - 1, "omega_hat_2": p.omega2 - 1})
 
@@ -378,12 +381,17 @@ def _strata(n: int, levels: range, powers: list) -> LaurentPolynomial:
     :func:`stratified_weight`, kappa_i**e read as powers[i-1][e]: one
     depth-first walk over the chains n = j_0 > j_1 > ... > 0 closes a chain
     with j_(l+1) = 0 at each l in ``levels``.  It carries j_(k-1), j_k, the
-    binomials and the product of the powers so far, so siblings share their
-    prefix; j_(-1) = n + 1 makes the first binomial C(n - j_1, 0) = 1, and
-    on a strictly decreasing chain every binomial is positive."""
+    binomials and the product of the powers so far (1 at the root), so
+    siblings share their prefix; j_(-1) = n + 1 makes the first binomial
+    C(n - j_1, 0) = 1, and on a strictly decreasing chain every binomial is
+    positive.  Stratum l has C(n - 1, l) chains, 2^(n-1) in all for the half
+    plane; more than ``_MAX_CHAINS`` are refused before the walk."""
+    chains = sum(comb(n - 1, l) for l in levels)
+    if chains > _MAX_CHAINS:
+        raise SizeLimit(f"the strata asked for hold {chains} chains, past {_MAX_CHAINS}")
     pairs = []
 
-    def walk(k: int, before: int, j: int, coeff: int, prefix: LaurentPolynomial):
+    def walk(k: int, before: int, j: int, coeff: int, prefix):
         if k in levels:
             pairs.append((prefix * (coeff * binom(before - 1, before - j - 1)),
                           powers[k][j]))
@@ -392,7 +400,7 @@ def _strata(n: int, levels: range, powers: list) -> LaurentPolynomial:
                 walk(k + 1, j, nxt, coeff * binom(before - nxt - 1, before - j - 1),
                      prefix * powers[k][j - nxt])
 
-    walk(0, n + 1, n, 1, ONE)
+    walk(0, n + 1, n, 1, 1)
     return _dot(pairs)
 
 

@@ -114,6 +114,12 @@ class LatticePath:
         return max(self.heights())
 
 
+def _check_strip(L: int, w: WeightSpec, what: str = "query strip") -> None:
+    """Refuse a strip height that is not the one the weights are for."""
+    if L != w.strip_height:
+        raise ValueError(f"{what} L={L} != weights strip L={w.strip_height}")
+
+
 def path_weight(p: LatticePath, w: WeightSpec) -> LaurentPolynomial:
     """Product of edge weights: up -> 1, across at h -> b_h, down from h ->
     lambda_h.  The path must stay inside the strip of w."""
@@ -222,10 +228,11 @@ def _evaluate_signatures(cell: dict, slots: list, powers: list) -> LaurentPolyno
     pairs = []
     for exponents, count in grouped.items():
         factors = [powers[j][e] for j, e in enumerate(exponents) if e]
-        piece = as_poly(count)
+        piece = count
         for f in factors[:-1]:
             piece = piece * f
-        pairs.append((piece, factors[-1] if factors else ONE))
+        # a path of up steps alone weighs 1, so its count is a constant
+        pairs.append((piece, factors[-1]) if factors else (1, as_poly(count)))
     return _dot(pairs)
 
 
@@ -241,8 +248,7 @@ def brute_force(q: StripQuery, w: WeightSpec, cap: int = DEFAULT_BRUTE_CAP) -> L
         raise SizeLimit(f"t={q.t} exceeds the brute-force cap {cap}")
     if q.t > _FIELD_MAX:
         raise SizeLimit(f"t={q.t} exceeds the signature field width {_FIELD_MAX}")
-    if q.L != w.strip_height:
-        raise ValueError(f"query strip L={q.L} != weights strip L={w.strip_height}")
+    _check_strip(q.L, w)
     zero_across, slots, powers = _brute_weights(w)
     cells = _signature_cells(q.L, q.y_start, q.t, zero_across)
     return _evaluate_signatures(cells.get(q.y_end, {}), slots, powers)
@@ -258,7 +264,7 @@ def _transfer_row(L: int, w: WeightSpec, y_start: int, t: int) -> tuple:
     for y in range(L + 1):
         pairs = [(prev[y], w.effective_b(y))]
         if y - 1 >= 0:
-            pairs.append((prev[y - 1], ONE))  # up step into y has weight 1
+            pairs.append((1, prev[y - 1]))  # up step into y has weight 1
         if y + 1 <= L:
             pairs.append((prev[y + 1], w.effective_lambda(y + 1)))
         out.append(_dot(pairs))
@@ -269,8 +275,7 @@ def transfer_matrix(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
     """Entry (y_start, y_end) of the t-th power of the Jacobi matrix.  The
     rows are filled into the cache bottom-up, so none recurses further than
     the row below it, at any t."""
-    if q.L != w.strip_height:
-        raise ValueError(f"query strip L={q.L} != weights strip L={w.strip_height}")
+    _check_strip(q.L, w)
     for t in range(q.t + 1):
         row = _transfer_row(q.L, w, q.y_start, t)
     return row[q.y_end]
@@ -315,8 +320,7 @@ def viennot_ct(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
     denominator has constant coefficient 1 (reciprocal of a monic
     polynomial), so the series inversion is valid with fully symbolic
     weights."""
-    if q.L != w.strip_height:
-        raise ValueError(f"query strip L={q.L} != weights strip L={w.strip_height}")
+    _check_strip(q.L, w)
     e = q.t - (q.y_hi - q.y_lo)
     if e < 0:
         return ZERO
@@ -329,8 +333,7 @@ def generating_function(y_start: int, y_end: int, L: int, w: WeightSpec,
     if order < 0:
         raise ValueError("order must be nonnegative")
     q = StripQuery(0, y_start, y_end, L)
-    if L != w.strip_height:
-        raise ValueError(f"argument L={L} != weights strip L={w.strip_height}")
+    _check_strip(L, w, "argument")
     d = q.y_hi - q.y_lo
     num, den = _ratio(y_start, y_end, L, w, "x")
     if num.is_zero:
@@ -379,8 +382,7 @@ def rho_ct(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
     otherwise); decorations may stay symbolic or zero.  (lam/rho - rho) *
     ratio is a cached series rho^s * sum_k c_k rho^k, so the constant term is
     the sum over k <= t - s of c_k times the kernel's coefficient of rho^(-s-k)."""
-    if q.L != w.strip_height:
-        raise ValueError(f"query strip L={q.L} != weights strip L={w.strip_height}")
+    _check_strip(q.L, w)
     state = _rho_denominator_inverse(q.y_start, q.y_end, q.L, w)
     kernel = _kernel_power(w.background_b, w.background_lambda, q.t).split("rho")
     s = state.shift
@@ -394,8 +396,7 @@ def cheb_ct(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
     S_1 = rho + lam/rho and S_m = T_m / D, with T_m = rho^(m+1) -
     (lam/rho)^(m+1) and D = rho - lam/rho, so each P is N / D^e.  The
     background lam must be nonzero, as for rho_ct."""
-    if q.L != w.strip_height:
-        raise ValueError(f"query strip L={q.L} != weights strip L={w.strip_height}")
+    _check_strip(q.L, w)
     b, lam = w.background_b, w.background_lambda
     if lam == 0:
         raise ZeroLambda("lambda must be nonzero for the Laurent substitution")

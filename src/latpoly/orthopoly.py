@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NearBranchPoint, ZeroLambda
-from .symbolic import LaurentPolynomial, ONE, _whole, as_poly, monomial, sym
+from .symbolic import SERIES_VAR, LaurentPolynomial, ONE, _whole, as_poly, monomial, sym
 
 _X = sym("x")
 
@@ -34,7 +34,8 @@ class WeightSpec:
     with the background value alone at undecorated heights.  Down
     decorations live on heights 1..L, across decorations on 0..L.  Any
     weight may be zero: a zero lambda_i is a wall that no path steps down
-    through.  Each effective weight is computed once, on construction.
+    through.  A decoration may not name ``x`` or ``rho``, the engines' own
+    variables.  Each effective weight is computed once, on construction.
     """
 
     __slots__ = ("strip_height", "background_b", "background_lambda",
@@ -69,6 +70,10 @@ class WeightSpec:
                     or not lo <= height <= hi):
                 raise ValueError(f"{what} height {height!r} is not an integer in [{lo}, {hi}]")
             poly = as_poly(value)
+            reserved = sorted(poly.symbols() & {"x", SERIES_VAR})
+            if reserved:
+                raise ValueError(f"{what} at height {height} names {reserved[0]!r}, "
+                                 "a variable the engines reserve for themselves")
             if not poly.is_zero:
                 out[height] = poly
         return out

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CutOutOfRange, SizeLimit
-from .symbolic import LaurentPolynomial, ONE, as_poly, sym
+from .symbolic import LaurentPolynomial, ONE, _dot, as_poly, sym
 from .orthopoly import WeightSpec, chebyshev_s, ortho_poly
 
 DEFAULT_PAVING_CAP = 500_000
@@ -107,10 +107,7 @@ def enumerate_pavings(k: int, kind: str = "motzkin",
 def paving_polynomial(k: int, j: int, w: WeightSpec,
                       cap: int = DEFAULT_PAVING_CAP) -> LaurentPolynomial:
     """Sum of weighted pavings of order k with shift j; equals ortho_poly."""
-    total = as_poly(0)
-    for paving in enumerate_pavings(k, "motzkin", cap):
-        total = total + paving.weight(j, w)
-    return total
+    return _dot((1, paving.weight(j, w)) for paving in enumerate_pavings(k, "motzkin", cap))
 
 
 @dataclass(frozen=True)

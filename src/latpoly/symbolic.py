@@ -34,8 +34,9 @@ constant polynomial hashes as its value, since it compares equal to it.
 A sum of products, which is how every engine reads its answer, goes
 through :func:`_dot`: each term product is added into one accumulator, as
 in Monagan and Pearce, and the sum is reduced once, so no product is built
-as a polynomial of its own.  ``*`` is its case of one pair.  :func:`_sum`
-keeps its own loop, as a sum through ``_dot`` would pay a product per term.
+as a polynomial of its own.  A pair's first factor may be an exact scalar,
+which scales the second with no ring product: ``*`` is the case of one
+pair, and ``+`` and ``-`` of two, with partners 1 and -1.
 
 Only the distinguished series variable ``rho`` may carry negative exponents.
 All other symbols live in an ordinary polynomial ring; that restriction
@@ -184,40 +185,23 @@ def _reduced(d: int, nums: dict, bound: int) -> "LaurentPolynomial":
     return p
 
 
-def _sum(polys) -> "LaurentPolynomial":
-    """The sum of a sequence of polynomials: the numerators are added as
-    ints over the common denominator, in one dict; sent through :func:`_dot`
-    with ``ONE`` partners, a sum would pay a product per term: nearly twice the time."""
-    if not polys:
-        return ZERO
-    D = lcm(*[p._den for p in polys])
-    first, *rest = polys
-    k = D // first._den
-    out = dict(first._num) if k == 1 else {m: v * k for m, v in first._num.items()}
-    for p in rest:
-        k = D // p._den
-        for m, c in p._num.items():
-            v = out.get(m, 0) + c * k
-            if v:
-                out[m] = v
-            else:
-                del out[m]
-    return _reduced(D, out, max(p._bound for p in polys))
-
-
 def _dot(pairs) -> "LaurentPolynomial":
-    """The sum of a * b over an iterable of pairs of polynomials, in one pass.
-    Every term product is added into one dict over a common denominator,
-    rescaled only when a pair's denominator does not divide it, and the sum
-    is reduced once; a pair's bounds are checked before any of its keys."""
+    """The sum of a * b over an iterable of pairs, in one pass: b is a
+    polynomial, and a is one too or an exact scalar (int or Fraction), which
+    scales b as one constant term with no ring product.  Every term product
+    is added into one dict over a common denominator, rescaled only when a
+    pair's denominator does not divide it, and the sum is reduced once; a
+    pair's bounds are checked before any of its keys."""
     D, bound, out = 1, 0, {}
     get = out.get
     for a, b in pairs:
-        s = a._bound + b._bound
+        y = b._num
+        if type(a) is LaurentPolynomial:
+            s, x, d = a._bound + b._bound, a._num, a._den * b._den
+        else:
+            s, x, d = b._bound, {0: a.numerator}, a.denominator * b._den
         if s > bound:
             bound = _checked(s)
-        x, y = a._num, b._num
-        d = a._den * b._den
         if D % d:
             grow = d // gcd(D, d)
             D *= grow
@@ -356,7 +340,7 @@ class LaurentPolynomial:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        return _sum((self, as_poly(other)))
+        return _dot(((1, self), (1, as_poly(other))))
 
     __radd__ = __add__
 
@@ -364,13 +348,15 @@ class LaurentPolynomial:
         return _reduced(self._den, {m: -v for m, v in self._num.items()}, self._bound)
 
     def __sub__(self, other):
-        return self + (-as_poly(other))
+        return _dot(((1, self), (-1, as_poly(other))))
 
     def __rsub__(self, other):
-        return as_poly(other) + (-self)
+        return _dot(((1, as_poly(other)), (-1, self)))
 
     def __mul__(self, other):
-        return _dot(((self, as_poly(other)),))
+        if type(other) is LaurentPolynomial:
+            return _dot(((self, other),))
+        return _dot(((_coerce_coeff(other), self),))
 
     __rmul__ = __mul__
 
@@ -447,7 +433,7 @@ class LaurentPolynomial:
                     factor = f if factor is None else factor * f
                     kept -= e << (_FIELD_BITS * _SLOTS[name])
             term = _reduced(self._den, {kept: c}, self._bound)
-            pairs.append((term, ONE if factor is None else factor))
+            pairs.append((1, term) if factor is None else (term, factor))
         return _dot(pairs)
 
     def reverse(self, var: str, k: int) -> "LaurentPolynomial":
@@ -749,11 +735,11 @@ class _Quotient:
     The c_k only grow, under the lock; 1/d is the case n = 1."""
 
     def __init__(self, d: LaurentPolynomial, var: str, n: LaurentPolynomial = ONE):
-        m, unit_inv, self._tail = _unit_split(d, var)
+        m, self._unit_inv, self._tail = _unit_split(d, var)
         top = n.split(var)
         lo = min(top, default=0)
         self.shift, self._c, self._lock = lo - m, [], threading.Lock()
-        self._num = {e - lo: c * unit_inv for e, c in top.items()}
+        self._num = {e - lo: c for e, c in top.items()}
 
     def upto(self, order: int) -> list:
         """c_0 .. c_order as a new list (empty below 0), computing any not yet known."""
@@ -762,7 +748,7 @@ class _Quotient:
             for k in range(len(c), order + 1):
                 pairs = [(t, c[k - i]) for i, t in self._tail if i <= k]
                 if k in self._num:
-                    pairs.append((self._num[k], ONE))
+                    pairs.append((self._unit_inv, self._num[k]))
                 c.append(_dot(pairs))
             return c[:max(order + 1, 0)]
 
@@ -784,7 +770,7 @@ class _Powers:
     __slots__ = ("_base", "_pw", "_lock")
 
     def __init__(self, base: LaurentPolynomial):
-        self._base, self._pw, self._lock = base, [ONE], threading.Lock()
+        self._base, self._pw, self._lock = base, [ONE, base], threading.Lock()
 
     def __getitem__(self, e: int) -> LaurentPolynomial:
         if e < 0:

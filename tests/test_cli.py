@@ -9,6 +9,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -249,17 +250,33 @@ DMR_2_2 = ["compute", "--model", "dmr", "--param", "r=2", "--param", "L=2"]
     (["compute", "--model", "rogers", "--param", "n=3", "--param", "kappas=a,,b"],
      "the expression is empty"),
     (DMR_2_2 + ["--param", "kappa= "], "the expression is empty"),
+    (["crosscheck", "--model", "dmr", "--param", "r=2", "--param", "L=3", "--param", "kappa=x"],
+     "names 'x'"),
+    (["crosscheck", "--model", "dmr", "--param", "r=2", "--param", "L=3",
+      "--param", "kappa=rho"], "names 'rho'"),
+    (["compute", "--weights", "reserved.json"], "names 'rho'"),
 ])
 def test_invalid_input_one_line_error_exit_2(args, message, tmp_path, monkeypatch, capsys):
     (tmp_path / "w.json").write_text(DMR_JSON)
     (tmp_path / "deep.json").write_text("[" * 100_000)
     (tmp_path / "zero.json").write_text(json.dumps(
         {"b": 0, "lambda": 1, "L": 1, "down_decorations": {"1": "1/0"}}))
+    (tmp_path / "reserved.json").write_text(json.dumps(
+        {"b": 0, "lambda": 1, "L": 1, "across_decorations": {"0": "2*rho"}}))
     monkeypatch.chdir(tmp_path)
     code, out, err = _exit_code(args, capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_runaway_rogers_query_refused_at_once(capsys):
+    # 2^39 chains: refused with SizeLimit before the walk starts
+    start = time.perf_counter()
+    code, out, err = _exit_code(["compute", "--model", "rogers", "--param", "n=40"], capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "chains" in err
 
 
 def test_model_weights_built_once_and_only_when_read(monkeypatch, capsys):

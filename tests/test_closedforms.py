@@ -23,6 +23,7 @@ from latpoly import (
     IndexOutOfRange,
     InsufficientWeights,
     ONE,
+    SizeLimit,
     StripQuery,
     WeightSpec,
     ZERO,
@@ -364,6 +365,19 @@ def test_strata_support_and_errors():
         stratified_weight(5, 3, KAPPAS[:2])
     with pytest.raises(InsufficientWeights):
         rogers(5, 4, KAPPAS[:2])
+
+
+def test_rogers_refuses_a_runaway_chain_count():
+    # the half plane at n walks 2^(n-1) chains, which n = 40 would take
+    # years to sum; the count is known before the walk, so it is refused
+    many = [sym(f"k{i}") for i in range(40)]
+    for make in (lambda: rogers(40, None, many), lambda: rogers(19, None, [1] * 19),
+                 lambda: rogers(40, 30, many), lambda: stratified_weight(40, 20, many)):
+        with pytest.raises(SizeLimit, match="chains"):
+            make()
+    # only the strata asked for count: one chain each here
+    assert rogers(40, 1, many) == sym("k0") ** 40
+    assert stratified_weight(40, 0, many) == sym("k0") ** 40
 
 
 def test_rogers_all_ones_gives_catalan():

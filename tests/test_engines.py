@@ -505,8 +505,12 @@ def test_query_validation():
         StripQuery(-1, 0, 0, 2)
     with pytest.raises(ValueError):
         StripQuery(0, 3, 0, 2)
-    with pytest.raises(ValueError):
-        brute_force(StripQuery(1, 0, 0, 2), WeightSpec(3, 0, 1))
+    # every engine refuses weights made for another strip, with one message
+    for engine in (brute_force, transfer_matrix, viennot_ct, rho_ct, cheb_ct):
+        with pytest.raises(ValueError, match=r"query strip L=2 != weights strip L=3"):
+            engine(StripQuery(1, 0, 0, 2), WeightSpec(3, 0, 1))
+    with pytest.raises(ValueError, match=r"argument L=2 != weights strip L=3"):
+        generating_function(0, 0, 2, WeightSpec(3, 0, 1), 3)
     # a float length never reaches 0 in brute force's countdown, and a bool
     # is not a height
     for fields in ((1.5, 0, 0, 0), (True, 0, 0, 1), (2, False, 0, 1),

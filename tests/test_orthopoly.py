@@ -179,6 +179,18 @@ def test_weight_spec_refuses_bool_heights():
         WeightSpec(2, across={False: sym("kappa")})
 
 
+def test_weight_spec_refuses_the_engines_variables():
+    # viennot-ct, gf and paving run in x, rho-ct and cheb-ct in rho; a
+    # decoration naming either would be read as that variable
+    kappa = sym("kappa")
+    for value in (sym("x"), sym("rho"), kappa * sym("x") + 1, monomial(2, rho=-1) + kappa):
+        for decorations in ({"across": {0: value}}, {"down": {2: value}}):
+            with pytest.raises(ValueError, match="reserve"):
+                WeightSpec(2, **decorations)
+    # a name that only starts with one of them is free
+    assert WeightSpec(2, across={0: sym("xi")}, down={1: sym("rho1")}).across_heights == {0}
+
+
 def test_weight_spec_whole_background_is_int():
     w = WeightSpec(1, Fraction(4, 2), 1)
     assert type(w.background_b) is int

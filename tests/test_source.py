@@ -93,14 +93,19 @@ def test_bench_pairs_runs_the_workloads_the_benchmark_names(tmp_path, monkeypatc
         root.mkdir()
     (roots["change"] / "BENCHMARK.json").write_text(json.dumps({
         "run_seconds": 0, "workloads": [{"name": "deep"}, {"name": "grid"}],
-        "end_to_end": [{"name": "throughput_qps", "better": "higher"}]}))
+        "end_to_end": [{"name": "throughput_qps", "better": "higher"},
+                       {"name": "latency_p50_ms", "better": "lower", "bound": 0.25},
+                       {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]}))
     calls = []
 
     def fake_run(root, workload, seed, seconds):
         calls.append((root.name, workload))
+        change = root.name == "change"
         return {"seed": seed, "commit": f"{root.name}-{workload}", "dirty": False,
                 "host_slowdown": 1.0, "attempted": 1, "failed": 0,
-                "metrics": {"throughput_qps": float(seed)}}
+                "metrics": {"throughput_qps": float(seed),
+                            "latency_p50_ms": 2.5 if change else 2.0,
+                            "peak_rss_mb": 30.0 if change else 40.0}}
 
     monkeypatch.setattr(bench_pairs, "_run", fake_run)
     out = tmp_path / "record.json"
@@ -110,3 +115,12 @@ def test_bench_pairs_runs_the_workloads_the_benchmark_names(tmp_path, monkeypatc
     assert list(record["workloads"]) == ["deep", "grid"]
     assert record["commits"] == {"parent": "parent-deep", "change": "change-deep"}
     assert {w for _, w in calls} == {"deep", "grid"} and len(calls) == 8
+    # a metric with a bound states the change's move against it, positive
+    # when worse; one without has neither
+    summary = record["workloads"]["grid"]["summary"]
+    assert "bound" not in summary["throughput_qps"]
+    assert "change_worse_by" not in summary["throughput_qps"]
+    assert (summary["latency_p50_ms"]["change_worse_by"],
+            summary["latency_p50_ms"]["bound"]) == (0.25, 0.25)
+    assert (summary["peak_rss_mb"]["change_worse_by"],
+            summary["peak_rss_mb"]["bound"]) == (-0.25, 0.1)

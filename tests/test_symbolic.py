@@ -36,7 +36,6 @@ from latpoly.symbolic import (
     _dot,
     _inverse_state,
     _inversion_order,
-    _sum,
     _unit_split,
 )
 
@@ -109,6 +108,12 @@ def test_float_coefficients_rejected():
         with pytest.raises(TypeError):
             make(True)
     assert ONE != True  # noqa: E712
+    # an int or Fraction factor scales a polynomial; a float or bool does not
+    for value in (0.5, 2.0, True, False):
+        for make in (lambda v: X * v, lambda v: v * X, lambda v: X + v, lambda v: v - X):
+            with pytest.raises(TypeError):
+                make(value)
+    assert X * 2 == 2 * X == X + X and Fraction(1, 2) * X == X * Fraction(1, 2)
 
 
 def test_negative_exponent_restricted_to_rho():
@@ -484,11 +489,15 @@ def test_non_int_exponent_refused():
 
 @st.composite
 def product_pairs(draw):
-    """Pairs of polynomials, some with a zero operand and some followed by
-    their own negation, so that parts of the sum cancel."""
+    """Pairs whose first factor is a polynomial or an exact scalar (an int
+    or a Fraction, 0 and negatives included), some with a zero operand and
+    some followed by their own negation, so that parts of the sum cancel."""
+    scalars = st.one_of(st.integers(-9, 9), st.just(0),
+                        st.fractions(-3, 3, max_denominator=12))
     pairs = []
     for _ in range(draw(st.integers(0, 5))):
-        a, b = draw(polys()), draw(st.one_of(polys(), st.just(ZERO), st.just(ONE)))
+        a = draw(st.one_of(polys(), scalars))
+        b = draw(st.one_of(polys(), st.just(ZERO), st.just(ONE)))
         pairs.append((a, b))
         if draw(st.booleans()):
             pairs.append((-a, b))
@@ -496,9 +505,12 @@ def product_pairs(draw):
 
 
 def _schoolbook_dot(pairs) -> dict:
+    """The sum of the products in Fraction arithmetic; a scalar first factor
+    is read as a constant."""
     out: dict = {}
     for a, b in pairs:
-        out = _schoolbook(out, _schoolbook(_fraction_terms(a), _fraction_terms(b)), 1)
+        fa = _fraction_terms(a) if isinstance(a, LaurentPolynomial) else {(): Fraction(a)}
+        out = _schoolbook(out, _schoolbook(fa, _fraction_terms(b)), 1)
     return out
 
 
@@ -516,13 +528,16 @@ def test_dot_is_the_sum_of_the_products(pairs):
 def test_dot_grows_its_denominator_then_reduces():
     # the pairs bring denominators 1, 3, 2 and 6 in that order, so the
     # accumulator is rescaled twice while it holds terms; the last pair
-    # cancels the third, and the sum 6x + 3y over 6 reduces to (2x + y)/2
+    # cancels the third, and the sum 6x + 3y over 6 reduces to (2x + y)/2;
+    # the second list brings its 6 by a scalar first factor
     y = sym("y")
     half, third, sixth = (as_poly(Fraction(1, n)) for n in (2, 3, 6))
-    pairs = [(X, ONE), (y, third), (X, half), (sixth, y), (-half, X)]
-    got = _dot(iter(pairs))
-    assert got.terms() == _schoolbook_dot(pairs) == {(("x", 1),): 1, (("y", 1),): Fraction(1, 2)}
-    assert got._den == 2 and hash(got) == hash(LaurentPolynomial(got.terms()))
+    for pairs in ([(X, ONE), (y, third), (X, half), (sixth, y), (-half, X)],
+                  [(X, ONE), (y, third), (X, half), (Fraction(1, 6), y), (-half, X)]):
+        got = _dot(iter(pairs))
+        assert got.terms() == _schoolbook_dot(pairs) == {(("x", 1),): 1,
+                                                          (("y", 1),): Fraction(1, 2)}
+        assert got._den == 2 and hash(got) == hash(LaurentPolynomial(got.terms()))
 
 
 # -- the cached, order-extendable inverse and single-coefficient products -----
@@ -592,7 +607,7 @@ def test_split_is_kept_and_every_call_gets_its_own_dict(p):
     for var in ("x", "rho", "kappa", "rho"):
         parts = p.split(var)
         assert parts == expected(var), var
-        assert _sum([c * monomial(1, **{var: e}) for e, c in parts.items()]) == p
+        assert _dot([(c, monomial(1, **{var: e})) for e, c in parts.items()]) == p
         parts.pop(min(parts, default=0), None)
 
 

@@ -9,7 +9,10 @@ alternates which checkout runs first from one pair to the next, so that
 a drift of the host's speed falls on both sides alike.  The record
 holds both commits, the Python version, every run's metrics and, per side,
 workload and metric, the median and quartiles, with the number of pairs in
-which the change did better.  Standard library only.
+which the change did better.  For a metric whose BENCHMARK.json entry has a
+``bound``, it also holds that bound and ``change_worse_by``, the change's
+median relative to the parent's, signed so that a positive value is worse.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -49,10 +52,12 @@ def _run(root: Path, workload: str, seed: int, seconds: float, *flags: str) -> d
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
-def _summary(runs: dict, better: dict) -> dict:
-    """Median and quartiles per side and metric, and the pairs won."""
+def _summary(runs: dict, metrics: list) -> dict:
+    """Median and quartiles per side and metric, and the pairs won; for a
+    metric with a bound, the change's relative move against that bound."""
     out = {}
-    for name, direction in better.items():
+    for metric in metrics:
+        name, direction = metric["name"], metric["better"]
         sides = {side: [r["metrics"][name] for r in runs[side]] for side in SIDES}
         entry = {}
         for side, values in sides.items():
@@ -62,6 +67,11 @@ def _summary(runs: dict, better: dict) -> dict:
         entry["change_better_pairs"] = sum(
             sign * (c - p) > 0 for p, c in zip(sides["parent"], sides["change"]))
         entry["better"] = direction
+        if "bound" in metric:
+            parent, change = entry["parent"]["median"], entry["change"]["median"]
+            entry["change_worse_by"] = (sign * (parent - change) / parent if parent
+                                        else None)
+            entry["bound"] = metric["bound"]
         out[name] = entry
     return out
 
@@ -80,7 +90,6 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 2 for quartiles")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
 
@@ -101,7 +110,7 @@ def main(argv=None) -> int:
         "commits": {side: runs[workloads[0]][side][0]["commit"] for side in SIDES},
         "pairs": args.pairs, "seconds": seconds,
         "seeds": [args.seed + i for i in range(args.pairs)],
-        "workloads": {w: {"summary": _summary(runs[w], better), "runs": runs[w]}
+        "workloads": {w: {"summary": _summary(runs[w], spec["end_to_end"]), "runs": runs[w]}
                       for w in workloads},
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
