@@ -388,8 +388,10 @@ class LaurentPolynomial:
             if len(num) > 1 or (num and 0 not in num):
                 self._hash = hash((self._den, frozenset(num.items())))
             else:
-                # a constant equals its value, so it hashes as that value
-                self._hash = hash(Fraction(num.get(0, 0), self._den))
+                # a constant equals its value, so it hashes as that value;
+                # a whole one as its int, with no Fraction built
+                c = num.get(0, 0)
+                self._hash = hash(c if self._den == 1 else Fraction(c, self._den))
         return self._hash
 
     def __bool__(self):
@@ -493,12 +495,14 @@ class LaurentPolynomial:
 
     def render(self) -> str:
         """Canonical text form: terms by descending total degree, then
-        descending lexicographic exponent vector over the sorted symbols."""
-        return self._format(lambda n, e: n if e == 1 else f"{n}^{e}",
-                            lambda num, den: f"{num}/{den}" if den != 1 else str(num), "*")
+        descending lexicographic exponent vector over the sorted symbols.
+        The text depends on the value alone, so equal values are formatted
+        once, through a small cache."""
+        return _render(self)
 
     def latex(self) -> str:
-        """LaTeX rendering (presentation only, same term order as render)."""
+        """LaTeX rendering (presentation only, same term order as render).
+        ``b0`` and ``b_0`` both print as ``b_{0}``."""
         def factor(n, e):
             base = _latex_symbol(n)
             return base if e == 1 else f"{base}^{{{e}}}"
@@ -541,12 +545,19 @@ _GREEK = {
 
 
 def _latex_symbol(name: str) -> str:
-    m = re.fullmatch(r"([A-Za-z]+)_?(\d+)?", name)
+    m = re.fullmatch(r"([A-Za-z]+)(?:_?(\d+))?", name)
     if m:
         stem, sub = m.groups()
         tex = f"\\{stem}" if stem in _GREEK else stem
         return f"{tex}_{{{sub}}}" if sub else tex
-    return name
+    return name.replace("_", "\\_")
+
+
+# a query's equal answers come one after another, so a small bound serves
+@lru_cache(maxsize=32)
+def _render(p: LaurentPolynomial) -> str:
+    return p._format(lambda n, e: n if e == 1 else f"{n}^{e}",
+                     lambda num, den: f"{num}/{den}" if den != 1 else str(num), "*")
 
 
 ZERO = LaurentPolynomial()

@@ -6,6 +6,7 @@ import ast
 import importlib.util
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 import latpoly
@@ -51,6 +52,33 @@ def _bench_pairs():
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
     return bench_pairs
+
+
+def test_latpoly_caches_are_empty_after_import_and_a_workload_build():
+    # perfbench/worker.py refuses to start a pass while any latpoly
+    # lru_cache holds entries, so neither importing latpoly nor building a
+    # workload's inputs may fill one, the render cache included
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import json, random, sys\n"
+        "sys.path[:0] = [sys.argv[1] + '/src', sys.argv[1] + '/perfbench']\n"
+        "import latpoly\n"
+        "from tracer import lru_caches\n"
+        "from workloads import WORKLOADS\n"
+        "caches = lru_caches()\n"
+        "def filled():\n"
+        "    return [n for n, c in caches.items() if c.cache_info().currsize]\n"
+        "seen = {'import': filled()}\n"
+        "for name, workload in WORKLOADS.items():\n"
+        "    workload().build(random.Random(name))\n"
+        "    seen[name] = filled()\n"
+        "print(json.dumps({'caches': sorted(caches), 'filled': seen}))\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(root)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert "latpoly.symbolic._render" in out["caches"]
+    assert out["filled"] == {"import": [], "grid": [], "swell": [], "closed": []}
 
 
 def test_bench_pairs_reads_a_benchmark_run():
@@ -102,7 +130,8 @@ def test_bench_pairs_runs_the_workloads_the_benchmark_names(tmp_path, monkeypatc
         calls.append((root.name, workload))
         change = root.name == "change"
         return {"seed": seed, "commit": f"{root.name}-{workload}", "dirty": False,
-                "host_slowdown": 1.0, "attempted": 1, "failed": 0,
+                "host_slowdown": 1.0, "attempted": 3 if change else 2,
+                "failed": seed % 2 if change else 0,
                 "metrics": {"throughput_qps": float(seed),
                             "latency_p50_ms": 2.5 if change else 2.0,
                             "peak_rss_mb": 30.0 if change else 40.0}}
@@ -124,3 +153,6 @@ def test_bench_pairs_runs_the_workloads_the_benchmark_names(tmp_path, monkeypatc
             summary["latency_p50_ms"]["bound"]) == (0.25, 0.25)
     assert (summary["peak_rss_mb"]["change_worse_by"],
             summary["peak_rss_mb"]["bound"]) == (-0.25, 0.1)
+    # the operations attempted and failed, totalled per side over the pairs
+    assert summary["attempted"] == {"parent": 4, "change": 6}
+    assert summary["failed"] == {"parent": 0, "change": 1}

@@ -36,6 +36,7 @@ from latpoly.symbolic import (
     _dot,
     _inverse_state,
     _inversion_order,
+    _render,
     _unit_split,
 )
 
@@ -310,11 +311,42 @@ def test_render_and_latex_follow_the_documented_term_order(p):
     assert p.latex() == _in_documented_order(p, LaurentPolynomial.latex)
 
 
+@settings(max_examples=60, deadline=None)
+@given(prefix_named_polys())
+def test_render_of_equal_values_is_the_uncached_text(p):
+    text = _render.__wrapped__(p)
+    twin = LaurentPolynomial(p.terms())
+    assert twin is not p and twin == p
+    assert p.render() == text
+    # an equal but distinct object is a hit: its value is formatted once
+    hits = _render.cache_info().hits
+    assert twin.render() == text
+    assert _render.cache_info().hits == hits + 1
+    # more distinct values than the bound push p out; it is then formatted
+    # again, to the same text
+    for k in range(_render.cache_info().maxsize + 1):
+        (X + k).render()
+    misses = _render.cache_info().misses
+    assert twin.render() == text and p.render() == text
+    assert _render.cache_info().misses == misses + 1
+
+
 def test_latex():
     kappa = sym("kappa")
     assert (kappa ** 2 + 1).latex() == "\\kappa^{2} + 1"
     assert (Fraction(1, 2) * sym("x")).latex() == "\\frac{1}{2} x"
     assert sym("kappa_1").latex() == "\\kappa_{1}"
+
+
+def test_latex_keeps_distinct_symbols_distinct():
+    # only a name stem, stemDIGITS or stem_DIGITS becomes a subscripted
+    # symbol; any other name prints with its underscores escaped
+    assert (sym("b") + sym("b_")).latex() == "b + b\\_"
+    assert sym("a_b_1").latex() == "a\\_b\\_1"
+    assert sym("kappa_").latex() == "kappa\\_"
+    # the documented exception: b0 and b_0 both print as b_{0}
+    assert sym("b0").latex() == sym("b_0").latex() == "b_{0}"
+    assert sym("bb").latex() == "bb"
 
 
 def test_series_latex_follows_render_layout():
@@ -472,6 +504,11 @@ def test_constant_hashes_as_its_value():
     # as that value too, or sets and dict lookups split equal keys
     for poly, value in ((ZERO, 0), (ONE, 1), (as_poly(Fraction(1, 2)), Fraction(1, 2))):
         assert poly == value and hash(poly) == hash(value)
+    # a whole constant hashes as its int, a big one and a negative one too
+    for value in (0, 1, -1, 2 ** 70, -(2 ** 70), Fraction(-7, 3), Fraction(2 ** 70, 3)):
+        poly = as_poly(value)
+        assert poly == value and hash(poly) == hash(value)
+        assert {value: "v"}.get(poly) == "v" and {poly: "p"}.get(value) == "p"
     assert len({1, ONE}) == 1 and len({0, ZERO}) == 1
     assert {ONE: "a"}.get(1) == "a"
     assert {Fraction(1, 2): "h"}.get(as_poly(Fraction(1, 2))) == "h"

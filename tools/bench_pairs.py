@@ -12,7 +12,8 @@ workload and metric, the median and quartiles, with the number of pairs in
 which the change did better.  For a metric whose BENCHMARK.json entry has a
 ``bound``, it also holds that bound and ``change_worse_by``, the change's
 median relative to the parent's, signed so that a positive value is worse.
-Standard library only.
+Per workload and side, the summary also totals the operations that the
+runs attempted and those that failed.  Standard library only.
 """
 
 from __future__ import annotations
@@ -54,8 +55,10 @@ def _run(root: Path, workload: str, seed: int, seconds: float, *flags: str) -> d
 
 def _summary(runs: dict, metrics: list) -> dict:
     """Median and quartiles per side and metric, and the pairs won; for a
-    metric with a bound, the change's relative move against that bound."""
-    out = {}
+    metric with a bound, the change's relative move against that bound;
+    and the attempted and failed totals per side."""
+    out = {key: {side: sum(r[key] for r in runs[side]) for side in SIDES}
+           for key in ("attempted", "failed")}
     for metric in metrics:
         name, direction = metric["name"], metric["better"]
         sides = {side: [r["metrics"][name] for r in runs[side]] for side in SIDES}
