@@ -7,6 +7,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import latpoly
@@ -59,20 +60,23 @@ def test_latpoly_caches_are_empty_after_import_and_a_workload_build():
     # lru_cache holds entries, so neither importing latpoly nor building a
     # workload's inputs may fill one, the render cache included
     root = Path(__file__).resolve().parents[1]
-    code = (
-        "import json, random, sys\n"
-        "sys.path[:0] = [sys.argv[1] + '/src', sys.argv[1] + '/perfbench']\n"
-        "import latpoly\n"
-        "from tracer import lru_caches\n"
-        "from workloads import WORKLOADS\n"
-        "caches = lru_caches()\n"
-        "def filled():\n"
-        "    return [n for n, c in caches.items() if c.cache_info().currsize]\n"
-        "seen = {'import': filled()}\n"
-        "for name, workload in WORKLOADS.items():\n"
-        "    workload().build(random.Random(name))\n"
-        "    seen[name] = filled()\n"
-        "print(json.dumps({'caches': sorted(caches), 'filled': seen}))\n")
+    code = textwrap.dedent("""\
+        import json, random, sys
+        sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/perfbench"]
+        import latpoly
+        from tracer import lru_caches
+        from workloads import WORKLOADS
+        caches = lru_caches()
+
+        def filled():
+            return [n for n, c in caches.items() if c.cache_info().currsize]
+
+        seen = {"import": filled()}
+        for name, workload in WORKLOADS.items():
+            workload().build(random.Random(name))
+            seen[name] = filled()
+        print(json.dumps({"caches": sorted(caches), "filled": seen}))
+    """)
     proc = subprocess.run([sys.executable, "-c", code, str(root)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

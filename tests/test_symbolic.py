@@ -504,7 +504,7 @@ def test_constant_hashes_as_its_value():
     # as that value too, or sets and dict lookups split equal keys
     for poly, value in ((ZERO, 0), (ONE, 1), (as_poly(Fraction(1, 2)), Fraction(1, 2))):
         assert poly == value and hash(poly) == hash(value)
-    # a whole constant hashes as its int, a big one and a negative one too
+    # a whole constant hashes as its int, a non-whole one as its Fraction
     for value in (0, 1, -1, 2 ** 70, -(2 ** 70), Fraction(-7, 3), Fraction(2 ** 70, 3)):
         poly = as_poly(value)
         assert poly == value and hash(poly) == hash(value)
