@@ -14,6 +14,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import NearBranchPoint, ZeroLambda
 from .symbolic import SERIES_VAR, LaurentPolynomial, ONE, _whole, as_poly, monomial, sym
@@ -35,35 +36,29 @@ class WeightSpec:
     decorations live on heights 1..L, across decorations on 0..L.  Any
     weight may be zero: a zero lambda_i is a wall that no path steps down
     through.  A decoration may not name ``x`` or ``rho``, the engines' own
-    variables.  Each effective weight is computed once, on construction.
+    variables.  A spec is immutable and its decorations are read-only
+    mappings.  Equal specs compare and hash by value, and a bounded cache
+    hands every caller the one spec built for a value, so an engine cache
+    keyed by a spec hits by identity; each effective weight is computed
+    once, when that spec is built.
     """
 
     __slots__ = ("strip_height", "background_b", "background_lambda",
                  "across_decorations", "down_decorations", "_key", "_hash",
                  "_b", "_b_at", "_lambda", "_lambda_at")
 
-    def __init__(self, L: int, b=0, lam=1, across=None, down=None):
+    def __new__(cls, L: int, b=0, lam=1, across=None, down=None):
         if isinstance(L, bool) or not isinstance(L, int) or L < 0:
             raise ValueError(f"strip height must be a nonnegative integer, got {L!r}")
-        self.strip_height = L
-        self.background_b = _coerce_background(b, "background b")
-        self.background_lambda = _coerce_background(lam, "background lambda")
-        self.across_decorations = self._check_decorations(
-            across, 0, L, "across decoration")
-        self.down_decorations = self._check_decorations(
-            down, 1, L, "down decoration")
-        self._key = (self.background_b, self.background_lambda, L,
-                     tuple(sorted(self.across_decorations.items())),
-                     tuple(sorted(self.down_decorations.items())))
-        self._hash = hash(self._key)
-        self._b = as_poly(self.background_b)
-        self._b_at = {i: self._b + v for i, v in self.across_decorations.items()}
-        self._lambda = as_poly(self.background_lambda)
-        self._lambda_at = {i: self._lambda + v
-                           for i, v in self.down_decorations.items()}
+        return _interned_spec(cls, (
+            _coerce_background(b, "background b"),
+            _coerce_background(lam, "background lambda"), L,
+            cls._check_decorations(across, 0, L, "across decoration"),
+            cls._check_decorations(down, 1, L, "down decoration")))
 
     @staticmethod
-    def _check_decorations(values, lo: int, hi: int, what: str) -> dict:
+    def _check_decorations(values, lo: int, hi: int, what: str) -> tuple:
+        """The nonzero decorations as sorted (height, polynomial) pairs."""
         out = {}
         for height, value in (values or {}).items():
             if (isinstance(height, bool) or not isinstance(height, int)
@@ -76,7 +71,16 @@ class WeightSpec:
                                  "a variable the engines reserve for themselves")
             if not poly.is_zero:
                 out[height] = poly
-        return out
+        return tuple(sorted(out.items()))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError("a WeightSpec is immutable: equal specs are one object")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), (self.strip_height, self.background_b, self.background_lambda,
+                            dict(self.across_decorations), dict(self.down_decorations))
 
     def effective_b(self, i: int) -> LaurentPolynomial:
         """b_i = background + decoration (background alone beyond the strip)."""
@@ -153,6 +157,23 @@ def ortho_poly(k: int, j: int, w: WeightSpec) -> OrthoPoly:
     prev2 = ortho_poly(k - 2, j, w).poly
     poly = (_X - w.effective_b(k + j - 1)) * prev - w.effective_lambda(k + j - 1) * prev2
     return OrthoPoly(k, j, poly)
+
+
+@lru_cache(maxsize=64)
+def _interned_spec(cls, key: tuple) -> WeightSpec:
+    """The one spec of a validated key (b, lam, L, across, down)."""
+    w = object.__new__(cls)
+    b, lam, L, across, down = key
+    b_poly, lam_poly = as_poly(b), as_poly(lam)
+    for name, value in (
+            ("strip_height", L), ("background_b", b), ("background_lambda", lam),
+            ("across_decorations", MappingProxyType(dict(across))),
+            ("down_decorations", MappingProxyType(dict(down))),
+            ("_key", key), ("_hash", hash(key)), ("_b", b_poly), ("_lambda", lam_poly),
+            ("_b_at", {i: b_poly + v for i, v in across}),
+            ("_lambda_at", {i: lam_poly + v for i, v in down})):
+        object.__setattr__(w, name, value)
+    return w
 
 
 def chebyshev_s(k: int, b=0, lam=1) -> LaurentPolynomial:

@@ -185,21 +185,34 @@ def _reduced(d: int, nums: dict, bound: int) -> "LaurentPolynomial":
     return p
 
 
+def _scaled(nums: dict, c: int) -> dict:
+    """A new dict of c times every numerator: a copy when c is 1, empty
+    when c is 0.  It is not inlined in _dot, where a comprehension would
+    turn the locals it reads into closure cells that every call pays for."""
+    if c == 1:
+        return dict(nums)
+    return {m: c * v for m, v in nums.items()} if c else {}
+
+
 def _dot(pairs) -> "LaurentPolynomial":
     """The sum of a * b over an iterable of pairs, in one pass: b is a
     polynomial, and a is one too or an exact scalar (int or Fraction), which
     scales b as one constant term with no ring product.  Every term product
     is added into one dict over a common denominator, rescaled only when a
     pair's denominator does not divide it, and the sum is reduced once; a
-    pair's bounds are checked before any of its keys."""
+    pair's bounds are checked before any of its keys.  A scalar pair that
+    meets an empty sum fills it in one step, so ``+`` and ``-`` add term
+    by term only their second operand."""
     D, bound, out = 1, 0, {}
     get = out.get
     for a, b in pairs:
         y = b._num
         if type(a) is LaurentPolynomial:
             s, x, d = a._bound + b._bound, a._num, a._den * b._den
+            if len(x) > len(y):
+                x, y = y, x
         else:
-            s, x, d = b._bound, {0: a.numerator}, a.denominator * b._den
+            s, x, d = b._bound, None, a.denominator * b._den
         if s > bound:
             bound = _checked(s)
         if D % d:
@@ -208,8 +221,13 @@ def _dot(pairs) -> "LaurentPolynomial":
             for m in out:
                 out[m] *= grow
         k = D // d
-        if len(x) > len(y):
-            x, y = y, x
+        if x is None:
+            if not out:
+                # a scalar pair into an empty sum: no two terms can meet
+                out = _scaled(y, a.numerator * k)
+                get = out.get
+                continue
+            x = {0: a.numerator}
         for m1, c1 in x.items():
             c1 *= k
             for m2, c2 in y.items():
@@ -881,8 +899,21 @@ def parse_polynomial(text: str, allowed_symbols=None) -> LaurentPolynomial:
     p/q rational literals, symbol names, and parenthesized expressions.
     Exponents are integers (negative only where the ring allows it).
     Floating literals, an empty expression and one nested past the
-    interpreter's recursion limit are refused with ``ValueError``.
+    interpreter's recursion limit are refused with ``ValueError``.  With no
+    ``allowed_symbols``, each distinct text is parsed once, through a
+    bounded cache: the polynomial is immutable, so sharing it is exact.
     """
+    if allowed_symbols is None:
+        return _parse_cached(text)
+    return _parse(text, allowed_symbols)
+
+
+@lru_cache(maxsize=256)
+def _parse_cached(text: str) -> LaurentPolynomial:
+    return _parse(text, None)
+
+
+def _parse(text: str, allowed_symbols) -> LaurentPolynomial:
     tokens = _tokenize(text)
     pos = 0
 

@@ -29,6 +29,7 @@ from latpoly import (
     generating_function,
     h_factor,
     monomial,
+    parse_polynomial,
     path_weight,
     rho_ct,
     sym,
@@ -606,3 +607,47 @@ def test_whole_coefficients_are_int_random_queries(query):
     q, w = query
     for name, value in _all_engine_values(q, w).items():
         assert _whole_coefficients_are_int(value), (name, value.terms())
+
+
+def test_equal_specs_are_one_object_and_hit_the_engine_caches_by_identity(monkeypatch):
+    # the grid workload's request: parse the decoration text, build the spec
+    def build(b=Fraction(1, 2)):
+        return WeightSpec(3, b, 2, {0: parse_polynomial("beta")},
+                          {2: parse_polynomial("kappa")})
+
+    w = build()
+    assert build() is w and build(Fraction(2, 4)) is w
+    assert build(1) is not w and build(1) != w
+    eq = WeightSpec.__eq__
+    calls = []
+    monkeypatch.setattr(WeightSpec, "__eq__",
+                        lambda self, other: calls.append(other) or eq(self, other))
+    for y0 in range(4):
+        for y1 in range(4):
+            gf = generating_function(y0, y1, 3, build(), 4)
+            for t in range(5):
+                q = StripQuery(t, y0, y1, 3)
+                values = {f(q, build()) for f in (brute_force, transfer_matrix,
+                                                  viennot_ct, rho_ct, cheb_ct)}
+                assert values == {gf.coefficient(t)}
+    assert calls == []
+
+
+def test_interned_specs_keep_every_check():
+    kappa = sym("kappa")
+    # equal valid specs are interned first, so a lookup that skipped a check
+    # would hand one of them back
+    WeightSpec(1), WeightSpec(2, 1), WeightSpec(2, 0, 1), WeightSpec(2, down={1: kappa})
+    with pytest.raises(ValueError):
+        WeightSpec(True)
+    with pytest.raises(TypeError):
+        WeightSpec(2, True)
+    with pytest.raises(TypeError):
+        WeightSpec(2, 0, True)
+    with pytest.raises(ValueError):
+        WeightSpec(2, down={True: kappa})
+    for value in (sym("rho"), sym("x")):
+        with pytest.raises(ValueError, match="reserve"):
+            WeightSpec(2, down={1: value})
+    with pytest.raises(ValueError):
+        WeightSpec(2, down={3: kappa})

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -20,6 +22,7 @@ from latpoly import (
     sym,
     to_laurent,
 )
+from latpoly.cli import weights_to_json
 from util import random_rational_weight_spec, random_weight_spec
 
 X = sym("x")
@@ -207,3 +210,34 @@ def test_weight_spec_equality_and_hash():
     b = WeightSpec(2, 0, 1, down={1: sym("kappa")})
     assert a == b and hash(a) == hash(b)
     assert a != WeightSpec(2, 0, 1)
+
+
+def test_weight_spec_is_immutable_and_its_decorations_read_only():
+    # equal specs are one object, so an edit would reach every holder
+    beta, kappa = sym("beta"), sym("kappa")
+    w = WeightSpec(3, 1, 2, across={0: beta}, down={2: kappa})
+    for decorations in (w.across_decorations, w.down_decorations):
+        with pytest.raises(TypeError):
+            decorations[1] = sym("z")
+        with pytest.raises(TypeError):
+            del decorations[next(iter(decorations))]
+    for name in ("strip_height", "background_b", "across_decorations", "_key"):
+        with pytest.raises(AttributeError):
+            setattr(w, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(w, name)
+    assert w.effective_b(0) == 1 + beta and w.effective_lambda(2) == 2 + kappa
+    assert dict(w.across_decorations) == {0: beta}
+    assert weights_to_json(w) == {"b": "1", "lambda": "2", "L": 3,
+                                  "across_decorations": {"0": "beta"},
+                                  "down_decorations": {"2": "kappa"}}
+    assert w.shifted_down(1) == WeightSpec(2, 1, 2, down={1: kappa})
+    assert repr(w) == "WeightSpec(L=3, b=1, lam=2, across={0: beta}, down={2: kappa})"
+
+
+def test_weight_spec_pickles_and_copies_to_the_interned_spec():
+    w = WeightSpec(2, Fraction(1, 2), -1, across={0: sym("beta")},
+                   down={1: sym("kappa") - 1, 2: monomial(Fraction(2, 3), omega=2)})
+    for twin in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
+        assert twin == w and hash(twin) == hash(w)
+        assert twin is w

@@ -58,7 +58,9 @@ def _bench_pairs():
 def test_latpoly_caches_are_empty_after_import_and_a_workload_build():
     # perfbench/worker.py refuses to start a pass while any latpoly
     # lru_cache holds entries, so neither importing latpoly nor building a
-    # workload's inputs may fill one, the render cache included
+    # workload's inputs may fill one: the render, parse and spec caches
+    # included, since a workload parses its text and builds its specs only
+    # when a request runs
     root = Path(__file__).resolve().parents[1]
     code = textwrap.dedent("""\
         import json, random, sys
@@ -81,7 +83,8 @@ def test_latpoly_caches_are_empty_after_import_and_a_workload_build():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert "latpoly.symbolic._render" in out["caches"]
+    assert {"latpoly.symbolic._render", "latpoly.symbolic._parse_cached",
+            "latpoly.orthopoly._interned_spec"} <= set(out["caches"])
     assert out["filled"] == {"import": [], "grid": [], "swell": [], "closed": []}
 
 

@@ -383,6 +383,22 @@ def test_parse_polynomial():
     assert parse_polynomial(" x + 1 ") == X + 1
 
 
+def test_parse_polynomial_parses_each_text_once():
+    # an unrestricted parse is cached by its text and shared: the
+    # polynomial is immutable, so every caller may hold the same object
+    z = parse_polynomial("z")
+    assert parse_polynomial("z") is z == sym("z")
+    # a restricted parse never reads the cache, so its check still runs
+    with pytest.raises(ValueError, match="unknown symbol 'z'"):
+        parse_polynomial("z", allowed_symbols={"x"})
+    assert parse_polynomial("z", allowed_symbols={"z"}) == z
+    # a refused text is refused on every call, not cached
+    for text in ("1.5", "2*1.5", "", "  ", "z +"):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                parse_polynomial(text)
+
+
 def test_whole_coefficients_are_int():
     (coeff,) = parse_polynomial("4/2*x").terms().values()
     assert type(coeff) is int
@@ -575,6 +591,22 @@ def test_dot_grows_its_denominator_then_reduces():
         assert got.terms() == _schoolbook_dot(pairs) == {(("x", 1),): 1,
                                                           (("y", 1),): Fraction(1, 2)}
         assert got._den == 2 and hash(got) == hash(LaurentPolynomial(got.terms()))
+
+
+def test_dot_fills_an_empty_sum_from_a_scalar_pair():
+    # a scalar pair that meets an empty sum is copied or scaled in one
+    # step; the sum is a new dict, so the operand is left as it was
+    y = sym("y")
+    p = X + 2 * y
+    before = dict(p._num)
+    assert (p + y).terms() == {(("x", 1),): 1, (("y", 1),): 3}
+    assert p - p == ZERO and p * 0 == ZERO and (p * 0)._num == {}
+    for pairs in ([(0, p), (1, y)], [(Fraction(-2, 3), p)], [(0, p), (0, y)],
+                  [(3, p), (Fraction(1, 2), X), (-3, p)]):
+        got = _dot(pairs)
+        assert got.terms() == _schoolbook_dot(pairs)
+        assert hash(got) == hash(LaurentPolynomial(got.terms()))
+    assert p._num == before
 
 
 # -- the cached, order-extendable inverse and single-coefficient products -----
