@@ -24,9 +24,9 @@ instead of truncating silently.
 
 Each sum builds every binomial triple and every power it uses once per
 call (:class:`~latpoly.symbolic._Powers` grows a power by one product from
-the one below), gathers a layer's pieces as pairs of factors and adds
-their products in one dict with :func:`~latpoly.symbolic._dot`; a guard is
-checked on its summed layer.
+the one below), gathers a layer's pieces as tuples of their factors and
+adds their products in one dict with :func:`~latpoly.symbolic._dot`, so no
+piece is multiplied out first; a guard is checked on its summed layer.
 """
 
 from __future__ import annotations
@@ -226,7 +226,7 @@ def dmr_sum(p: DmrParams) -> LaurentPolynomial:
                             m + p2)
                         if not coeff:
                             continue
-                        piece = (coeff * kh[s2 + p2], oh[s1 + p1])
+                        piece = (coeff, kh[s2 + p2], oh[s1 + p1])
                         (guard if p1 + p2 == p_cap else pieces).append(piece)
         _check_guard(_dot(guard), "guard diagonal of the p sums")
         layer = _dot(pieces)
@@ -282,7 +282,7 @@ def four_weight_sum(p: FourWeightParams) -> LaurentPolynomial:
         for j in range(0, i + 1):
             t = triple(r + 2 * i - j)
             if not t.is_zero:
-                pieces.append((binom(i, j) * kh12[j] * kh2[i - j], t))
+                pieces.append((binom(i, j), kh12[j], kh2[i - j], t))
         layer = _dot(pieces)
         if i == r + 1:
             _check_guard(layer, "guard layer of the double sum")
@@ -325,16 +325,16 @@ def four_weight_sum(p: FourWeightParams) -> LaurentPolynomial:
                                         pref = base * bj1 * binom(v2, j2) * b_v2
                                         if pref == 0:
                                             continue
-                                        common = (kh2[i1 + j1] * oh2[i2 + j2]
-                                                  * oh12[m + v2 - s2 - j2])
+                                        common = (kh2[i1 + j1], oh2[i2 + j2],
+                                                  oh12[m + v2 - s2 - j2])
                                         if c1 and not piece1.is_zero:
-                                            out.append((pref * c1 * common
-                                                        * kh12[e1], piece1))
+                                            out.append((pref * c1, *common,
+                                                        kh12[e1], piece1))
                                         if c2 and not piece2.is_zero:
                                             # c2 != 0 forces s1 <= m-1, so the
                                             # exponent e1 - 1 is nonnegative
-                                            out.append((-pref * c2 * common
-                                                        * kh12[e1 - 1], piece2))
+                                            out.append((-pref * c2, *common,
+                                                        kh12[e1 - 1], piece2))
         _check_guard(_dot(guard), "guard diagonal of the v sums")
         layer = _dot(pieces)
         if m == m_max + 1:
@@ -382,26 +382,27 @@ def _strata(n: int, levels: range, powers: list) -> LaurentPolynomial:
     depth-first walk over the chains n = j_0 > j_1 > ... > 0 closes a chain
     with j_(l+1) = 0 at each l in ``levels``.  It carries j_(k-1), j_k, the
     binomials and the product of the powers so far (1 at the root), so
-    siblings share their prefix; j_(-1) = n + 1 makes the first binomial
+    siblings share their prefix, and a chain closes as the entry (binomials,
+    prefix, last power) of one sum; j_(-1) = n + 1 makes the first binomial
     C(n - j_1, 0) = 1, and on a strictly decreasing chain every binomial is
     positive.  Stratum l has C(n - 1, l) chains, 2^(n-1) in all for the half
     plane; more than ``_MAX_CHAINS`` are refused before the walk."""
     chains = sum(comb(n - 1, l) for l in levels)
     if chains > _MAX_CHAINS:
         raise SizeLimit(f"the strata asked for hold {chains} chains, past {_MAX_CHAINS}")
-    pairs = []
+    entries = []
 
-    def walk(k: int, before: int, j: int, coeff: int, prefix):
+    def walk(k: int, before: int, j: int, coeff: int, prefix: LaurentPolynomial):
         if k in levels:
-            pairs.append((prefix * (coeff * binom(before - 1, before - j - 1)),
-                          powers[k][j]))
+            entries.append((coeff * binom(before - 1, before - j - 1), prefix, powers[k][j]))
         if k + 1 < levels.stop:
             for nxt in range(max(levels.start - k, 1), j):
+                # the root's prefix is 1, so its children's is one power
                 walk(k + 1, j, nxt, coeff * binom(before - nxt - 1, before - j - 1),
-                     prefix * powers[k][j - nxt])
+                     prefix * powers[k][j - nxt] if k else powers[0][j - nxt])
 
-    walk(0, n + 1, n, 1, 1)
-    return _dot(pairs)
+    walk(0, n + 1, n, 1, ONE)
+    return _dot(entries)
 
 
 def rogers(n: int, L, kappas) -> LaurentPolynomial:

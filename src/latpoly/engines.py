@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import lcm, prod
+from math import lcm
 
 from .errors import SizeLimit, ZeroLambda
 from .symbolic import (
@@ -38,7 +38,6 @@ from .symbolic import (
     _dot,
     _inversion_order,
     _ratio_coefficient,
-    as_poly,
     constant_term_ratio,
     monomial,
     series_invert,
@@ -167,34 +166,69 @@ def enumerate_paths(t: int, y_start: int, L: int, y_end: int | None = None):
 
 
 @lru_cache(maxsize=64)
-def _signature_cells(L: int, y_start: int, t: int, zero_across: frozenset):
-    """Packed weight signatures of every length-t path from y_start.
+def _signature_cells(L: int, y_start: int, t: int, zero_across: frozenset,
+                     y_end: int | None = None):
+    """Packed weight signatures of every length-t path from y_start, or,
+    with y_end given, of every such path that ends at y_end.
 
-    Returns {y_end: {packed signature: path count}}.  The signature
-    records, per height, how many across steps and down steps the path
-    used; together with unit up weights it determines the path weight.
-    Pure depth-first enumeration, no recurrences; the only pruning is the
-    strip itself and across steps at heights whose weight is known to be
-    rational zero (such paths contribute nothing).
+    Returns {y_end: {packed signature: path count}} for every height a
+    path may end at (a height that no path reaches has an empty cell).
+    The signature records, per height, how many across steps and down
+    steps the path used; together with unit up weights it determines the
+    path weight.
+    Pure depth-first enumeration, no recurrences and no merged states.  It
+    prunes a step that leaves the strip, an across step at a height whose
+    weight is known to be rational zero (such paths contribute nothing)
+    and, with y_end given, a step after which y_end is farther away than
+    the steps left: with r steps left a path stays between lo[r] and hi[r].
+    A path's last step is counted where it is taken, not pushed.
     """
     across_bit = [None if i in zero_across else 1 << (_FIELD_BITS * i)
                   for i in range(L + 1)]
     down_bit = [None] + [1 << (_FIELD_BITS * (L + i)) for i in range(1, L + 1)]
-    cells: dict = {}
-    stack = [(y_start, t, 0)]
+    if y_end is None:
+        lo, hi = [0] * (t + 1), [L] * (t + 1)
+    else:  # lo[r] = max(y_end - r, 0) and hi[r] = min(y_end + r, L)
+        lo = (list(range(y_end, 0, -1)) + [0] * (t + 1))[:t + 1]
+        hi = (list(range(y_end, L)) + [L] * (t + 1))[:t + 1]
+    cells = {y: {} for y in range(lo[0], hi[0] + 1)}
+    stack = []
+    if lo[t] <= y_start <= hi[t]:
+        if t:
+            stack.append((y_start, t, 0))
+        else:
+            cells[y_start][0] = 1
     while stack:
         y, remaining, sig = stack.pop()
-        if not remaining:
-            cell = cells.setdefault(y, {})
-            cell[sig] = cell.get(sig, 0) + 1
+        remaining -= 1
+        across = across_bit[y]
+        if remaining:
+            if across is not None and lo[remaining] <= y <= hi[remaining]:
+                stack.append((y, remaining, sig + across))
+            if y < hi[remaining]:
+                stack.append((y + 1, remaining, sig))
+            if y > lo[remaining]:
+                stack.append((y - 1, remaining, sig + down_bit[y]))
             continue
-        if across_bit[y] is not None:
-            stack.append((y, remaining - 1, sig + across_bit[y]))
-        if y < L:
-            stack.append((y + 1, remaining - 1, sig))
-        if y > 0:
-            stack.append((y - 1, remaining - 1, sig + down_bit[y]))
+        # cells holds exactly the heights a path may end at
+        if across is not None and y in cells:
+            cell, key = cells[y], sig + across
+            cell[key] = cell.get(key, 0) + 1
+        if y + 1 in cells:
+            cell = cells[y + 1]
+            cell[sig] = cell.get(sig, 0) + 1
+        if y - 1 in cells:
+            cell, key = cells[y - 1], sig + down_bit[y]
+            cell[key] = cell.get(key, 0) + 1
     return cells
+
+
+# (L, y_start, t, zero_across) -> the one end brute force was asked of it,
+# or None once it was asked a second: a single end is enumerated alone,
+# and every end of a key asked of more than one shares one walk.  It is
+# only a hint, so it needs no lock: either walk it picks holds the asked end
+_ENDS_ASKED: dict = {}
+_ENDS_KEPT = 1024
 
 
 @lru_cache(maxsize=16)
@@ -225,22 +259,17 @@ def _evaluate_signatures(cell: dict, slots: list, powers: list) -> LaurentPolyno
         key = tuple(exponents)
         grouped[key] = grouped.get(key, 0) + count
 
-    pairs = []
-    for exponents, count in grouped.items():
-        factors = [powers[j][e] for j, e in enumerate(exponents) if e]
-        piece = count
-        for f in factors[:-1]:
-            piece = piece * f
-        # a path of up steps alone weighs 1, so its count is a constant
-        pairs.append((piece, factors[-1]) if factors else (1, as_poly(count)))
-    return _dot(pairs)
+    # a path of up steps alone weighs 1, so its entry is its count alone
+    return _dot([(count, *[powers[j][e] for j, e in enumerate(exponents) if e])
+                 for exponents, count in grouped.items()])
 
 
 def brute_force(q: StripQuery, w: WeightSpec, cap: int = DEFAULT_BRUTE_CAP) -> LaurentPolynomial:
     """Ground truth: exact sum of path_weight over every valid path.
 
-    Depth-first enumeration of exactly the length-t paths with strip
-    pruning; each path contributes its per-height step-usage signature, and
+    Depth-first enumeration of exactly the length-t paths, pruned at the
+    strip and, for the first end asked of a start and length, toward that
+    end; each path contributes its per-height step-usage signature, and
     signatures are evaluated against the effective weights afterwards
     (identical weight products are grouped, nothing else is shared between
     paths)."""
@@ -250,7 +279,13 @@ def brute_force(q: StripQuery, w: WeightSpec, cap: int = DEFAULT_BRUTE_CAP) -> L
         raise SizeLimit(f"t={q.t} exceeds the signature field width {_FIELD_MAX}")
     _check_strip(q.L, w)
     zero_across, slots, powers = _brute_weights(w)
-    cells = _signature_cells(q.L, q.y_start, q.t, zero_across)
+    key = (q.L, q.y_start, q.t, zero_across)
+    if len(_ENDS_ASKED) >= _ENDS_KEPT:
+        _ENDS_ASKED.clear()
+    end = q.y_end if _ENDS_ASKED.setdefault(key, q.y_end) == q.y_end else None
+    if end is None:
+        _ENDS_ASKED[key] = None
+    cells = _signature_cells(*key, end)
     return _evaluate_signatures(cells.get(q.y_end, {}), slots, powers)
 
 
@@ -402,6 +437,7 @@ def cheb_ct(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
         raise ZeroLambda("lambda must be nonzero for the Laurent substitution")
     rho, inv = sym("rho"), monomial(lam, rho=-1)
     d = rho - inv
+    d_pow = _Powers(d)
 
     def s(m: int) -> LaurentPolynomial:  # S_m, times D past m = 1
         if m < 2:
@@ -410,13 +446,15 @@ def cheb_ct(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
                                   (("rho", -m - 1),): -lam ** (m + 1)})
 
     def over_d(k: int, j: int) -> tuple:  # (N, e) with P_k^(j) = N / D^e
-        terms = [(prod(map(s, orders), start=coeff), sum(m > 1 for m in orders))
+        terms = [(coeff, orders, sum(m > 1 for m in orders))
                  for coeff, orders in _decoration_cut(k, j, w)]
-        e = max(n for _, n in terms)
-        return _dot([(t, d ** (e - n)) for t, n in terms]), e
+        e = max(n for *_, n in terms)
+        return _dot([(coeff, *map(s, orders), d_pow[e - n])
+                     for coeff, orders, n in terms]), e
 
     (lo, e_lo), (hi, e_hi) = over_d(q.y_lo, 0), over_d(q.L - q.y_hi, q.y_hi + 1)
     den, e = over_d(q.L + 1, 0)
-    num = -d * _kernel_power(b, lam, q.t) * lo * h_factor(q, w) * hi
     e -= e_lo + e_hi  # the leftover D goes where its power is nonnegative
-    return constant_term_ratio(num * d ** max(e, 0), den * d ** max(-e, 0))
+    num = _dot([(-1, d, _kernel_power(b, lam, q.t), lo, h_factor(q, w), hi,
+                 d_pow[max(e, 0)])])
+    return constant_term_ratio(num, _dot([(den, d_pow[max(-e, 0)])]))

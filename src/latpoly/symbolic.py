@@ -32,11 +32,12 @@ the same; the coefficients themselves are formed when first read.  A
 constant polynomial hashes as its value, since it compares equal to it.
 
 A sum of products, which is how every engine reads its answer, goes
-through :func:`_dot`: each term product is added into one accumulator, as
-in Monagan and Pearce, and the sum is reduced once, so no product is built
-as a polynomial of its own.  A pair's first factor may be an exact scalar,
-which scales the second with no ring product: ``*`` is the case of one
-pair, and ``+`` and ``-`` of two, with partners 1 and -1.
+through :func:`_dot`: each term product of an entry's factors, however
+many, is added into one accumulator, as in Monagan and Pearce, and the sum
+is reduced once, so no product is built as a polynomial of its own.  An
+entry's first factor may be an exact scalar, which scales the rest with no
+ring product: ``*`` is the case of one pair, and ``+`` and ``-`` of two,
+with partners 1 and -1.
 
 Only the distinguished series variable ``rho`` may carry negative exponents.
 All other symbols live in an ordinary polynomial ring; that restriction
@@ -194,25 +195,68 @@ def _scaled(nums: dict, c: int) -> dict:
     return {m: c * v for m, v in nums.items()} if c else {}
 
 
-def _dot(pairs) -> "LaurentPolynomial":
-    """The sum of a * b over an iterable of pairs, in one pass: b is a
-    polynomial, and a is one too or an exact scalar (int or Fraction), which
-    scales b as one constant term with no ring product.  Every term product
-    is added into one dict over a common denominator, rescaled only when a
-    pair's denominator does not divide it, and the sum is reduced once; a
-    pair's bounds are checked before any of its keys.  A scalar pair that
-    meets an empty sum fills it in one step, so ``+`` and ``-`` add term
-    by term only their second operand."""
+def _factors(entry) -> tuple:
+    """What _dot reads of an entry (a, f1, ..., fk) that is not a pair: the
+    summed bound s of its factors, the product d of their denominators and
+    two numerator dicts x and y whose term products are the entry's.  A
+    constant factor only scales; of the others, y is the one with the most
+    terms and x the rest multiplied out, keyed only once s is checked.  A
+    zero factor makes the entry empty."""
+    a = entry[0]
+    if type(a) is LaurentPolynomial:
+        c, d, rest = 1, 1, entry
+    else:
+        c, d, rest = a.numerator, a.denominator, entry[1:]
+    s, nums = 0, []
+    for f in rest:
+        num = f._num
+        d *= f._den
+        if len(num) == 1 and 0 in num:
+            c *= num[0]
+        elif num:
+            s += f._bound
+            nums.append(num)
+        else:
+            return 0, 1, {}, {}
+    _checked(s)
+    nums.sort(key=len)
+    y = nums.pop() if nums else {0: 1}
+    x = _scaled(nums.pop(0), c) if nums else {0: c}
+    for num in nums:
+        grown: dict = {}
+        for m1, c1 in x.items():
+            for m2, c2 in num.items():
+                m = m1 + m2
+                grown[m] = grown.get(m, 0) + c1 * c2
+        x = grown
+    return s, d, x, y
+
+
+def _dot(entries) -> "LaurentPolynomial":
+    """The sum of the products of an iterable of entries, in one pass.  An
+    entry is a tuple (a, f1, ..., fk): every f is a polynomial, and a is one
+    too or an exact scalar (int or Fraction), which scales the f as one
+    constant term with no ring product.  Every term product is added into
+    one dict over a common denominator, rescaled only when an entry's
+    denominator does not divide it, and the sum is reduced once; an entry's
+    summed bound is checked before any of its keys.  A pair (a, b) takes a
+    path of its own (see :func:`_factors` for the rest), and a scalar pair
+    that meets an empty sum fills it in one step, so ``+`` and ``-`` add
+    term by term only their second operand."""
     D, bound, out = 1, 0, {}
     get = out.get
-    for a, b in pairs:
-        y = b._num
-        if type(a) is LaurentPolynomial:
-            s, x, d = a._bound + b._bound, a._num, a._den * b._den
-            if len(x) > len(y):
-                x, y = y, x
+    for entry in entries:
+        if len(entry) == 2:
+            a, b = entry
+            y = b._num
+            if type(a) is LaurentPolynomial:
+                s, x, d = a._bound + b._bound, a._num, a._den * b._den
+                if len(x) > len(y):
+                    x, y = y, x
+            else:
+                s, x, d = b._bound, None, a.denominator * b._den
         else:
-            s, x, d = b._bound, None, a.denominator * b._den
+            s, d, x, y = _factors(entry)
         if s > bound:
             bound = _checked(s)
         if D % d:
@@ -443,18 +487,17 @@ class LaurentPolynomial:
                 table = tables[(name, e < 0)] = _Powers(p)
             return table[abs(e)]
 
-        pairs = []
+        entries = []
         for m, c in self._num.items():
             kept = m
-            factor = None
+            factors = []
             for name, e in _decode(m):
                 if name in bound:
-                    f = bound_power(name, e)
-                    factor = f if factor is None else factor * f
+                    factors.append(bound_power(name, e))
                     kept -= e << (_FIELD_BITS * _SLOTS[name])
             term = _reduced(self._den, {kept: c}, self._bound)
-            pairs.append((1, term) if factor is None else (term, factor))
-        return _dot(pairs)
+            entries.append((term, *factors) if factors else (1, term))
+        return _dot(entries)
 
     def reverse(self, var: str, k: int) -> "LaurentPolynomial":
         """Exponent reversal e -> k - e in ``var`` (i.e. var**k * p(1/var)).
@@ -899,10 +942,13 @@ def parse_polynomial(text: str, allowed_symbols=None) -> LaurentPolynomial:
     p/q rational literals, symbol names, and parenthesized expressions.
     Exponents are integers (negative only where the ring allows it).
     Floating literals, an empty expression and one nested past the
-    interpreter's recursion limit are refused with ``ValueError``.  With no
-    ``allowed_symbols``, each distinct text is parsed once, through a
-    bounded cache: the polynomial is immutable, so sharing it is exact.
+    interpreter's recursion limit are refused with ``ValueError``, and
+    anything but a ``str`` with ``TypeError``.  With no ``allowed_symbols``,
+    each distinct text is parsed once, through a bounded cache: the
+    polynomial is immutable, so sharing it is exact.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"a polynomial is parsed from a str, got {type(text).__name__}")
     if allowed_symbols is None:
         return _parse_cached(text)
     return _parse(text, allowed_symbols)

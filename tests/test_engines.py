@@ -36,7 +36,10 @@ from latpoly import (
     transfer_matrix,
     viennot_ct,
 )
+import latpoly.closedforms as closedforms
 import latpoly.engines as engines
+import latpoly.orthopoly as orthopoly
+import latpoly.symbolic as symbolic
 from latpoly.engines import _brute_weights, _kernel_power, _ratio, _signature_cells, cheb_ct
 from util import (
     BACKGROUND_B_POOL,
@@ -209,14 +212,18 @@ def test_brute_force_power_table_shared_across_threads():
     assert failures == []
 
 
+def _closed_cases() -> list:
+    """(t, model) of the benchmark's closed workload, in its order."""
+    return ([(2 * r, DmrParams(r, L)) for L in (2, 3, 4, 5) for r in range(9)]
+            + [(2 * r, FourWeightParams(r, L)) for L in (4, 5, 6) for r in range(7)]
+            + [(2 * n, RogersParams(n, L)) for L in range(2, 8) for n in range(1, 9)])
+
+
 def test_closed_brute_force_queries_fit_the_signature_cache():
     # the brute-force queries of the benchmark's closed workload, in its
     # order: 53 distinct (L, t) for 105 requests, so a second round of them
     # is answered from the cache alone
-    cases = ([(2 * r, DmrParams(r, L)) for L in (2, 3, 4, 5) for r in range(9)]
-             + [(2 * r, FourWeightParams(r, L)) for L in (4, 5, 6) for r in range(7)]
-             + [(2 * n, RogersParams(n, L)) for L in range(2, 8) for n in range(1, 9)])
-    jobs = [(StripQuery(t, 0, 0, m.L), m.weight_spec()) for t, m in cases]
+    jobs = [(StripQuery(t, 0, 0, m.L), m.weight_spec()) for t, m in _closed_cases()]
     assert len(jobs) == 105
     _signature_cells.cache_clear()
     for q, w in jobs:
@@ -228,6 +235,86 @@ def test_closed_brute_force_queries_fit_the_signature_cache():
     second = _signature_cells.cache_info()
     assert second.misses == first.misses
     assert second.hits - first.hits == len(jobs)
+
+
+def _end_pruning_specs(L: int) -> list:
+    """A spec with every across weight rational zero but one, whose paths
+    keep their parity, and one with none zero."""
+    down = {L: sym("k")} if L else {}
+    return [WeightSpec(L, 0, 1, across={L // 2: sym("a")}, down=down),
+            WeightSpec(L, 1, Fraction(1, 2), across={0: Fraction(1, 3)}, down=down)]
+
+
+def _fresh_brute_force(q, w):
+    _signature_cells.cache_clear()
+    engines._ENDS_ASKED.clear()
+    return brute_force(q, w)
+
+
+def test_brute_force_pruned_toward_one_end():
+    # fresh caches, so every query is the first of its key and is walked
+    # toward its own end alone; t = 0 between two heights is empty
+    for L in range(6):
+        for w in _end_pruning_specs(L):
+            for t in range(11):
+                for y0 in range(L + 1):
+                    for y1 in range(L + 1):
+                        q = StripQuery(t, y0, y1, L)
+                        assert _fresh_brute_force(q, w) == transfer_matrix(q, w), q
+                        zero_across = _brute_weights(w)[0]
+                        (key, end), = engines._ENDS_ASKED.items()
+                        assert key == (L, y0, t, zero_across) and end == y1
+                        assert set(_signature_cells(*key, y1)) <= {y1}
+    for y0, y1 in ((0, 1), (2, 0), (1, 3)):
+        assert _fresh_brute_force(StripQuery(0, y0, y1, 3), WeightSpec.generic(3)) == ZERO
+    assert _fresh_brute_force(StripQuery(0, 2, 2, 3), WeightSpec.generic(3)) == ONE
+
+
+def test_brute_force_shares_one_walk_once_a_second_end_is_asked():
+    # grid order: the first end of a (L, y0, t) is walked alone, every
+    # later end reads one walk over all ends, and a key asked again
+    # enumerates nothing new
+    for L in range(6):
+        for w in _end_pruning_specs(L):
+            _signature_cells.cache_clear()
+            engines._ENDS_ASKED.clear()
+            for t in range(11):
+                for y0 in range(L + 1):
+                    for y1 in range(L + 1):
+                        q = StripQuery(t, y0, y1, L)
+                        assert brute_force(q, w) == transfer_matrix(q, w), q
+                    zero_across = _brute_weights(w)[0]
+                    key = (L, y0, t, zero_across)
+                    assert engines._ENDS_ASKED[key] == (None if L else 0)
+            misses = _signature_cells.cache_info().misses
+            brute_force(StripQuery(10, L, 0, L), w)
+            assert _signature_cells.cache_info().misses == misses
+
+
+def test_closed_pass_halves_the_ring_products(monkeypatch):
+    # every LaurentPolynomial product by * over the closed cases above,
+    # each through closed-form, closed-sum and brute force, from cold
+    # caches; the code before products took entries of any length (and
+    # before brute force pruned toward the end) made 15,576
+    for module in (symbolic, orthopoly, engines, closedforms):
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+    calls = 0
+    mul = LaurentPolynomial.__mul__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentPolynomial, "__mul__", counted)
+    monkeypatch.setattr(LaurentPolynomial, "__rmul__", counted)
+    for t, m in _closed_cases():
+        m.closed_form()
+        m.closed_sum()
+        brute_force(StripQuery(t, 0, 0, m.L), m.weight_spec())
+    assert calls <= 15576 // 2
 
 
 def test_transfer_matrix_examples():

@@ -36,6 +36,7 @@ from latpoly.symbolic import (
     _dot,
     _inverse_state,
     _inversion_order,
+    _parse_cached,
     _render,
     _unit_split,
 )
@@ -399,6 +400,18 @@ def test_parse_polynomial_parses_each_text_once():
                 parse_polynomial(text)
 
 
+def test_parse_polynomial_refuses_what_is_not_text():
+    # one named TypeError for every non-str, raised before the parse cache
+    # is read, so an unhashable value fails the same way as a hashable one
+    before = _parse_cached.cache_info()
+    for value in (5, None, ["x"], b"x", X):
+        for allowed in (None, {"x"}):
+            with pytest.raises(TypeError, match="parsed from a str"):
+                parse_polynomial(value, allowed_symbols=allowed)
+    after = _parse_cached.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
 def test_whole_coefficients_are_int():
     (coeff,) = parse_polynomial("4/2*x").terms().values()
     assert type(coeff) is int
@@ -557,13 +570,16 @@ def product_pairs(draw):
     return draw(st.permutations(pairs))
 
 
-def _schoolbook_dot(pairs) -> dict:
-    """The sum of the products in Fraction arithmetic; a scalar first factor
-    is read as a constant."""
+def _schoolbook_dot(entries) -> dict:
+    """The sum of the products of entries of any length in Fraction
+    arithmetic, one factor at a time; a scalar first factor is read as a
+    constant."""
     out: dict = {}
-    for a, b in pairs:
-        fa = _fraction_terms(a) if isinstance(a, LaurentPolynomial) else {(): Fraction(a)}
-        out = _schoolbook(out, _schoolbook(fa, _fraction_terms(b)), 1)
+    for a, *factors in entries:
+        product = _fraction_terms(a) if isinstance(a, LaurentPolynomial) else {(): Fraction(a)}
+        for f in factors:
+            product = _schoolbook(product, _fraction_terms(f))
+        out = _schoolbook(out, product, 1)
     return out
 
 
@@ -576,6 +592,54 @@ def test_dot_is_the_sum_of_the_products(pairs):
     assert hash(got) == hash(LaurentPolynomial(got.terms()))
     assert _dot([]) == ZERO
     assert _dot(pairs + [(a, -b) for a, b in pairs]) == ZERO
+
+
+@st.composite
+def product_entries(draw):
+    """Entries of 2 to 5 factors: a polynomial or exact scalar first, then
+    polynomials with Fraction coefficients, among them constants (0, a
+    Fraction, -1) and the unit 1; some entries are followed by their own
+    negation, so that parts of the sum cancel."""
+    scalars = st.one_of(st.integers(-9, 9), st.fractions(-3, 3, max_denominator=12))
+    factors = st.one_of(polys(), st.just(ONE), st.just(-ONE), st.just(ZERO),
+                        st.fractions(-3, 3, max_denominator=12).map(as_poly))
+    entries = []
+    for _ in range(draw(st.integers(0, 4))):
+        a = draw(st.one_of(polys(), scalars))
+        rest = draw(st.lists(factors, min_size=1, max_size=4))
+        entries.append((a, *rest))
+        if draw(st.booleans()):
+            entries.append((-a, *rest))
+    return draw(st.permutations(entries))
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_entries())
+def test_dot_is_the_sum_of_the_products_of_any_length(entries):
+    got = _dot(entries)
+    assert got.terms() == _schoolbook_dot(entries)
+    assert hash(got) == hash(LaurentPolynomial(got.terms()))
+    # an entry is the pair of its first factor and the product of the rest
+    for a, *rest in entries:
+        tail = ONE
+        for f in rest:
+            tail = tail * f
+        assert _dot([(a, *rest)]) == _dot([(a, tail)])
+
+
+def test_dot_refuses_an_entry_whose_summed_bound_passes_the_field():
+    # every factor and every pair of them is in bounds; four together
+    # reach 2**31, past the field, and are refused before any key is formed
+    f = monomial(1, x=2 ** 29)
+    for entry in ((1, f, f, f, f), (f, f, f, f), (Fraction(1, 2), f, X, f, f, f)):
+        with pytest.raises(SizeLimit):
+            _dot([(ONE, X), entry])
+    assert _dot([(2, f, f, f)]) == monomial(2, x=3 * 2 ** 29)
+    # a constant only scales: this one holds a bound of 2**30 from its
+    # making, and adds none to the entry
+    one = monomial(1, rho=2 ** 29) * monomial(1, rho=-(2 ** 29))
+    assert one == ONE and one._bound == 2 ** 30
+    assert _dot([(1, f, f, f, one)]) == monomial(1, x=3 * 2 ** 29)
 
 
 def test_dot_grows_its_denominator_then_reduces():
