@@ -34,7 +34,6 @@ from .symbolic import (
     sym,
 )
 from .orthopoly import (
-    OrthoPoly,
     WeightSpec,
     chebyshev_closed_form_check,
     chebyshev_s,

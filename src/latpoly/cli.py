@@ -22,6 +22,7 @@ from .errors import LatPolyError, SchemaError
 from .symbolic import LaurentPolynomial, _whole, as_poly, parse_polynomial, sym
 from .orthopoly import WeightSpec
 from .engines import (
+    DEFAULT_BRUTE_CAP,
     StripQuery,
     brute_force,
     cheb_ct,
@@ -401,7 +402,7 @@ _FLAGS = {
                     help="model parameter (repeatable)"),
     "--engines": dict(help="comma separated engine list"),
     "--format": dict(choices=("plain", "json", "latex"), default="plain"),
-    "--cap": dict(type=int, default=18, help="brute force enumeration cap on t"),
+    "--cap": dict(type=int, default=DEFAULT_BRUTE_CAP, help="brute force enumeration cap on t"),
     "--order": dict(type=int, default=8, help="series truncation order"),
     "--sweep": dict(required=True, metavar="VAR:LO:HI",
                     help="sweep variable and range, e.g. t:1:10"),

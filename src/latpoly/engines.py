@@ -24,10 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import lcm
 
-from .errors import SizeLimit, ZeroLambda
+from .errors import SizeLimit
 from .symbolic import (
     LaurentPolynomial,
     ONE,
@@ -43,7 +43,7 @@ from .symbolic import (
     series_invert,
     sym,
 )
-from .orthopoly import WeightSpec, ortho_poly, reciprocal, to_laurent
+from .orthopoly import WeightSpec, _laurent_backgrounds, ortho_poly, reciprocal, to_laurent
 from .paving import _decoration_cut
 
 DEFAULT_BRUTE_CAP = 18
@@ -319,34 +319,26 @@ def transfer_matrix(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
 def h_factor(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
     """Product of effective lambda_l over y_end < l <= y_start (1 otherwise);
     compensates a start height above the end height."""
-    out = ONE
-    for l in range(q.y_end + 1, q.y_start + 1):
-        out = out * w.effective_lambda(l)
-    return out
+    return _dot([(1, *map(w.effective_lambda, range(q.y_end + 1, q.y_start + 1)))])
+
+
+def _windows(q: StripQuery) -> tuple:
+    """(order, shift) of P_Y', P^(Y+1)_{L-Y} and P_{L+1} in Viennot's ratio
+    P_Y' * h * P^(Y+1)_{L-Y} / P_{L+1}, Y' and Y the lower and upper of the
+    two boundary heights and h :func:`h_factor`; every engine that reads the
+    ratio takes its windows from here."""
+    return (q.y_lo, 0), (q.L - q.y_hi, q.y_hi + 1), (q.L + 1, 0)
 
 
 @lru_cache(maxsize=1024)
-def _ratio(y_start: int, y_end: int, L: int, w: WeightSpec, ring: str) -> tuple:
-    """Numerator and denominator of Viennot's ratio
-
-        P_Y' * h * P^(Y+1)_{L-Y} / P_{L+1}
-
-    with every recurrence polynomial P mapped into the ring of the engine:
-    by ``reciprocal`` for ``ring`` "x", by ``to_laurent`` with the
-    backgrounds of w for "rho".  Y' and Y are the lower and upper of the two
-    boundary heights and h is :func:`h_factor`.  The ratio does not depend
-    on the path length, so it is built once per endpoint pair, strip,
-    weights and ring, and every t reads the same cached pair.  The
-    numerator is zero exactly when h has a zero lambda, a wall between the
-    two heights."""
-    if ring == "x":
-        f = reciprocal
-    else:
-        f = partial(to_laurent, b=w.background_b, lam=w.background_lambda)
+def _ratio(y_start: int, y_end: int, L: int, w: WeightSpec) -> tuple:
+    """Numerator and denominator of Viennot's ratio (see ``_windows``) in x,
+    each P mapped by ``reciprocal``.  It does not depend on the path length,
+    so every t of viennot-ct and gf reads one cached pair.  The numerator is
+    zero exactly when h has a zero lambda, a wall between the two heights."""
     q = StripQuery(0, y_start, y_end, L)
-    num = f(ortho_poly(q.y_lo, 0, w)) * h_factor(q, w)
-    num = num * f(ortho_poly(L - q.y_hi, q.y_hi + 1, w))
-    return num, f(ortho_poly(L + 1, 0, w))
+    lo, hi, den = (reciprocal(ortho_poly(k, j, w)) for k, j in _windows(q))
+    return _dot([(1, lo, h_factor(q, w), hi)]), den
 
 
 def viennot_ct(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
@@ -359,7 +351,7 @@ def viennot_ct(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
     e = q.t - (q.y_hi - q.y_lo)
     if e < 0:
         return ZERO
-    return _ratio_coefficient(*_ratio(q.y_start, q.y_end, q.L, w, "x"), e, "x")
+    return _ratio_coefficient(*_ratio(q.y_start, q.y_end, q.L, w), e, "x")
 
 
 def generating_function(y_start: int, y_end: int, L: int, w: WeightSpec,
@@ -370,7 +362,7 @@ def generating_function(y_start: int, y_end: int, L: int, w: WeightSpec,
     q = StripQuery(0, y_start, y_end, L)
     _check_strip(L, w, "argument")
     d = q.y_hi - q.y_lo
-    num, den = _ratio(y_start, y_end, L, w, "x")
+    num, den = _ratio(y_start, y_end, L, w)
     if num.is_zero:
         return TruncatedSeries("x", {}, order)
     # the cached numerator is multiplied as it is, so its split is reused
@@ -399,10 +391,13 @@ def _kernel_power(b: int | Fraction, lam: int | Fraction, t: int) -> LaurentPoly
 
 @lru_cache(maxsize=512)
 def _rho_denominator_inverse(y_start: int, y_end: int, L: int, w: WeightSpec):
-    """The series of (lam/rho - rho) * num / den, ``_ratio``'s rho ring, for
-    every t; the uncached ratio, since only this state keeps num and den."""
-    num, den = _ratio.__wrapped__(y_start, y_end, L, w, "rho")
-    return _Quotient(den, "rho", num * (monomial(w.background_lambda, rho=-1) - sym("rho")))
+    """The series of (lam/rho - rho) times Viennot's ratio (see ``_windows``)
+    in rho, each P mapped by ``to_laurent`` with w's backgrounds, for every t."""
+    q = StripQuery(0, y_start, y_end, L)
+    b, lam = w.background_b, w.background_lambda
+    lo, hi, den = (to_laurent(ortho_poly(k, j, w), b, lam) for k, j in _windows(q))
+    return _Quotient(den, "rho", _dot([(1, lo, h_factor(q, w), hi,
+                                        monomial(lam, rho=-1) - sym("rho"))]))
 
 
 def rho_ct(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
@@ -432,9 +427,7 @@ def cheb_ct(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
     (lam/rho)^(m+1) and D = rho - lam/rho, so each P is N / D^e.  The
     background lam must be nonzero, as for rho_ct."""
     _check_strip(q.L, w)
-    b, lam = w.background_b, w.background_lambda
-    if lam == 0:
-        raise ZeroLambda("lambda must be nonzero for the Laurent substitution")
+    b, lam = _laurent_backgrounds(w.background_b, w.background_lambda)
     rho, inv = sym("rho"), monomial(lam, rho=-1)
     d = rho - inv
     d_pow = _Powers(d)
@@ -446,14 +439,13 @@ def cheb_ct(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
                                   (("rho", -m - 1),): -lam ** (m + 1)})
 
     def over_d(k: int, j: int) -> tuple:  # (N, e) with P_k^(j) = N / D^e
-        terms = [(coeff, orders, sum(m > 1 for m in orders))
-                 for coeff, orders in _decoration_cut(k, j, w)]
+        terms = [(ds, orders, sum(m > 1 for m in orders))
+                 for ds, orders in _decoration_cut(k, j, w)]
         e = max(n for *_, n in terms)
-        return _dot([(coeff, *map(s, orders), d_pow[e - n])
-                     for coeff, orders, n in terms]), e
+        return _dot([((-1) ** len(ds), *ds, *map(s, orders), d_pow[e - n])
+                     for ds, orders, n in terms]), e
 
-    (lo, e_lo), (hi, e_hi) = over_d(q.y_lo, 0), over_d(q.L - q.y_hi, q.y_hi + 1)
-    den, e = over_d(q.L + 1, 0)
+    (lo, e_lo), (hi, e_hi), (den, e) = (over_d(k, j) for k, j in _windows(q))
     e -= e_lo + e_hi  # the leftover D goes where its power is nonnegative
     num = _dot([(-1, d, _kernel_power(b, lam, q.t), lo, h_factor(q, w), hi,
                  d_pow[max(e, 0)])])

@@ -11,7 +11,6 @@ background weights alone.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -132,31 +131,21 @@ class WeightSpec:
                 f"down={{{', '.join(f'{h}: {v}' for h, v in sorted(self.down_decorations.items()))}}})")
 
 
-@dataclass(frozen=True)
-class OrthoPoly:
-    """P_k^(j) together with its order and shift."""
-    k: int
-    j: int
-    poly: LaurentPolynomial
-
-
 @lru_cache(maxsize=4096)
-def ortho_poly(k: int, j: int, w: WeightSpec) -> OrthoPoly:
-    """Order-k shift-j polynomial of the three-term recurrence for w, the
-    only code that runs the recurrence.  The lower orders are filled into
-    the cache bottom-up first, so the stack stays flat at any order."""
+def ortho_poly(k: int, j: int, w: WeightSpec) -> LaurentPolynomial:
+    """Order-k shift-j polynomial P_k^(j) of the three-term recurrence for w,
+    the only code that runs the recurrence.  The lower orders are filled
+    into the cache bottom-up first, so the stack stays flat at any order."""
     if k < 0 or j < 0:
         raise ValueError("order and shift must be nonnegative")
     if k == 0:
-        return OrthoPoly(0, j, ONE)
+        return ONE
     if k == 1:
-        return OrthoPoly(1, j, _X - w.effective_b(j))
+        return _X - w.effective_b(j)
     for i in range(2, k):
         ortho_poly(i, j, w)
-    prev = ortho_poly(k - 1, j, w).poly
-    prev2 = ortho_poly(k - 2, j, w).poly
-    poly = (_X - w.effective_b(k + j - 1)) * prev - w.effective_lambda(k + j - 1) * prev2
-    return OrthoPoly(k, j, poly)
+    prev, prev2 = ortho_poly(k - 1, j, w), ortho_poly(k - 2, j, w)
+    return (_X - w.effective_b(k + j - 1)) * prev - w.effective_lambda(k + j - 1) * prev2
 
 
 @lru_cache(maxsize=64)
@@ -186,12 +175,22 @@ def chebyshev_s(k: int, b=0, lam=1) -> LaurentPolynomial:
     b, lam = (sym(v) if isinstance(v, str) else v for v in (b, lam))
     w = WeightSpec(k, 0, 0, across=dict.fromkeys(range(k + 1), b),
                    down=dict.fromkeys(range(1, k + 1), lam))
-    return ortho_poly(k, 0, w).poly
+    return ortho_poly(k, 0, w)
 
 
-def reciprocal(p: OrthoPoly) -> LaurentPolynomial:
-    """x**k * p(1/x): coefficient order reversed, constant coefficient 1."""
-    return p.poly.reverse("x", p.k)
+def reciprocal(p: LaurentPolynomial) -> LaurentPolynomial:
+    """x**k * p(1/x), k the degree of p in x: coefficient order reversed, so
+    a monic P_k gets constant coefficient 1."""
+    return p.reverse("x", p.max_exponent("x"))
+
+
+def _laurent_backgrounds(b, lam) -> tuple:
+    """(b, lam) as exact backgrounds of x -> rho + b + lam/rho, which needs a
+    nonzero lam."""
+    lam = _coerce_background(lam, "lambda")
+    if lam == 0:
+        raise ZeroLambda("lambda must be nonzero for the Laurent substitution")
+    return _coerce_background(b, "b"), lam
 
 
 @lru_cache(maxsize=4096)
@@ -201,12 +200,10 @@ def _to_laurent_cached(poly: LaurentPolynomial, b: int | Fraction,
     return poly.substitute({"x": image})
 
 
-def to_laurent(p: OrthoPoly, b, lam) -> LaurentPolynomial:
-    """Laurent form of p under x -> rho + b + lam/rho; exponents in [-k, k]."""
-    lam = _coerce_background(lam, "lambda")
-    if lam == 0:
-        raise ZeroLambda("lambda must be nonzero for the Laurent substitution")
-    return _to_laurent_cached(p.poly, _coerce_background(b, "b"), lam)
+def to_laurent(p: LaurentPolynomial, b, lam) -> LaurentPolynomial:
+    """Laurent form of p under x -> rho + b + lam/rho; exponents in [-k, k]
+    for p of degree k in x."""
+    return _to_laurent_cached(p, *_laurent_backgrounds(b, lam))
 
 
 def chebyshev_closed_form_check(k: int, x0: float) -> tuple[float, float]:

@@ -144,7 +144,7 @@ class Decomposition:
             prod = term.coefficient
             for shift, order in term.factors:
                 if self.basis == "ortho":
-                    prod = prod * ortho_poly(order, shift, w).poly
+                    prod = prod * ortho_poly(order, shift, w)
                 else:
                     prod = prod * chebyshev_s(order, w.background_b,
                                               w.background_lambda)
@@ -247,21 +247,21 @@ def _decompose_terms(k: int, j: int, w: WeightSpec) -> list:
 
 
 def _decoration_cut(k: int, j: int, w: WeightSpec) -> list:
-    """P_k^(j) as (coefficient, orders) pairs, each term the coefficient times
-    the undecorated S_m of its orders.  P is linear in its lowest decoration
-    d, so P = P[d removed] - d * P_left * P_right: P_{c-1} and P_{k-c-1} for
-    a down d on edge c, P_c and P_{k-c-1} for an across d at vertex c.
-    Nothing lies below d, so P_left is an S_m; the rest is cut again."""
+    """P_k^(j) as (decorations ds, orders) pairs, each term (-1)**len(ds)
+    times its ds and the undecorated S_m of its orders, left unmultiplied.
+    P is linear in its lowest decoration d, so P = P[d removed] - d * P_left
+    * P_right: P_{c-1} and P_{k-c-1} for a down d on edge c, P_c and
+    P_{k-c-1} for an across d at vertex c.  Nothing lies below d, so P_left
+    is an S_m; the rest is cut again."""
 
     def cut(k: int, cuts: list) -> list:
         if not cuts:
-            return [(ONE, (k,))]
+            return [((), (k,))]
         (pos, d), rest = cuts[0], cuts[1:]
         c = (pos + 1) // 2
         skip = 2 * c + 2  # the right window starts at vertex c + 1
         right = cut(k - c - 1, [(p - skip, v) for p, v in rest if p >= skip])
-        return cut(k, rest) + [(-d * coeff, (pos // 2,) + orders)
-                               for coeff, orders in right]
+        return cut(k, rest) + [((d, *ds), (pos // 2, *orders)) for ds, orders in right]
 
     return cut(k, _decorated_positions(k, j, w))
 

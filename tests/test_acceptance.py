@@ -178,14 +178,14 @@ def test_criterion_5_paving_oracle_and_cuts():
         for j in range(0, 4):
             for _ in range(3):
                 w = random_weight_spec(rng, min(k + j + 1, 7))
-                if paving_polynomial(k, j, w) != ortho_poly(k, j, w).poly:
+                if paving_polynomial(k, j, w) != ortho_poly(k, j, w):
                     failures.append(("paving", k, j))
                 cases += 1
     cut_cases = 0
     for k in range(1, 9):
         for j in range(0, 3):
             w = random_weight_spec(rng, min(k + j, 7))
-            target = ortho_poly(k, j, w).poly
+            target = ortho_poly(k, j, w)
             for c in range(1, k):
                 if edge_cut(k, j, c, w).expand(w) != target:
                     failures.append(("edge", k, j, c))
@@ -214,7 +214,7 @@ def test_criterion_6_decomposition_bound_and_boundary_form():
             failures.append(("bound", k, j))
         if d.max_factor_count > n_down + n_across + 1:
             failures.append(("factors", k, j))
-        if d.expand(w) != ortho_poly(k, j, w).poly:
+        if d.expand(w) != ortho_poly(k, j, w):
             failures.append(("expand", k, j))
         cases += 1
     # the boundary-pair decomposition reproduces the published four-term
@@ -244,14 +244,14 @@ def test_criterion_7_divisibility():
     for L in range(0, 9):
         for _ in range(2):
             w = random_rational_weight_spec(rng, L)
-            divisor = ortho_poly(L + 1, 0, w).poly
+            divisor = ortho_poly(L + 1, 0, w)
             for y in range(0, L + 1):
                 lam_prod = ONE
                 for l in range(y + 1, L + 1):
                     lam_prod = lam_prod * w.effective_lambda(l)
-                lhs = (lam_prod * ortho_poly(y, 0, w).poly
-                       - ortho_poly(L, 0, w).poly
-                       * ortho_poly(L - y, y + 1, w).poly)
+                lhs = (lam_prod * ortho_poly(y, 0, w)
+                       - ortho_poly(L, 0, w)
+                       * ortho_poly(L - y, y + 1, w))
                 _, remainder = lhs.divmod_monic(divisor, "x")
                 if not remainder.is_zero:
                     failures.append((L, y))

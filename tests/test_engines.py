@@ -426,6 +426,40 @@ def test_ratio_cache_is_history_independent():
         assert values == (expected,) * 3, (y0, y1, t)
 
 
+def test_the_ratio_windows_are_stated_once(monkeypatch):
+    # viennot-ct, gf, rho-ct and cheb-ct take the (order, shift) of every
+    # polynomial of Viennot's ratio from engines._windows: a wrong statement
+    # there reaches all four, so an engine that stated them again privately
+    # would keep agreeing with transfer_matrix and fail here
+    w = WeightSpec(4, 1, 2, across={0: sym("win_a0"), 4: sym("win_a4")},
+                   down={2: sym("win_d2"), 4: sym("win_d4")})
+    # from 3 down to 1: decorations below (0), between (2) and above (4)
+    queries = [StripQuery(t, 3, 1, 4) for t in range(2, 8)]
+    expected = [transfer_matrix(q, w) for q in queries]
+    readers = {
+        "viennot-ct": viennot_ct,
+        "gf": lambda q, w: generating_function(q.y_start, q.y_end, q.L, w,
+                                               q.t).coefficient(q.t),
+        "rho-ct": rho_ct,
+        "cheb-ct": cheb_ct,
+    }
+
+    def agreeing():
+        _ratio.cache_clear()
+        engines._rho_denominator_inverse.cache_clear()
+        return {name for name, read in readers.items()
+                if [read(q, w) for q in queries] == expected}
+
+    def upper_shift_off_by_one(q):
+        return (q.y_lo, 0), (q.L - q.y_hi, q.y_hi + 2), (q.L + 1, 0)
+
+    windows = engines._windows
+    monkeypatch.setattr(engines, "_windows", upper_shift_off_by_one)
+    assert agreeing() == set()
+    monkeypatch.setattr(engines, "_windows", windows)
+    assert agreeing() == set(readers)
+
+
 def test_rho_ct_forms_no_product_with_the_kernel(monkeypatch):
     # rho-ct reads its constant term as a dot product of the cached quotient
     # series with the kernel's coefficients, so it needs no series product

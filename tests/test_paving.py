@@ -8,6 +8,7 @@ import pytest
 
 from latpoly import (
     CutOutOfRange,
+    LaurentPolynomial,
     ONE,
     SizeLimit,
     WeightSpec,
@@ -77,7 +78,7 @@ def test_paving_oracle_randomized():
     for k in range(0, 8):
         for j in range(0, 4):
             w = random_weight_spec(rng, min(k + j + 1, 6))
-            assert paving_polynomial(k, j, w) == ortho_poly(k, j, w).poly
+            assert paving_polynomial(k, j, w) == ortho_poly(k, j, w)
             cases += 1
     assert cases >= 30
 
@@ -94,13 +95,13 @@ def test_edge_cut_example():
     assert d.term_count == 2
     b0, b1, lam1 = sym("b0"), sym("b1"), sym("lambda1")
     assert d.expand(w) == (X - b0) * (X - b1) - lam1
-    assert d.expand(w) == ortho_poly(2, 0, w).poly
+    assert d.expand(w) == ortho_poly(2, 0, w)
 
 
 def test_vertex_cut_examples():
     w = WeightSpec.generic(2)
     d = vertex_cut(2, 0, 1, w)
-    assert d.expand(w) == ortho_poly(2, 0, w).poly
+    assert d.expand(w) == ortho_poly(2, 0, w)
     degenerate = vertex_cut(1, 0, 0, w)
     assert degenerate.term_count == 1
     assert degenerate.expand(w) == X - sym("b0")
@@ -120,18 +121,38 @@ def test_cut_soundness_randomized():
     for k in range(2, 7):
         for j in range(0, 3):
             w = random_weight_spec(rng, min(k + j, 6))
-            target = ortho_poly(k, j, w).poly
+            target = ortho_poly(k, j, w)
             for c in range(1, k):
                 assert edge_cut(k, j, c, w).expand(w) == target
             for c in range(0, k):
                 assert vertex_cut(k, j, c, w).expand(w) == target
             # the cut at decorations alone, every factor an undecorated S_m
             expansion = 0
-            for coeff, orders in _decoration_cut(k, j, w):
+            for ds, orders in _decoration_cut(k, j, w):
+                coeff = (-1) ** len(ds)
+                for d in ds:
+                    coeff = coeff * d
                 for m in orders:
                     coeff = coeff * chebyshev_s(m, w.background_b, w.background_lambda)
                 expansion = expansion + coeff
             assert expansion == target
+
+
+def test_decoration_cut_multiplies_no_polynomial(monkeypatch):
+    # a cut term is data, its decorations and orders: the one product of a
+    # term is formed by its reader (cheb-ct's _dot entry), not by the cut
+    rng = random.Random(9091)
+    specs = [WeightSpec(6, 1, 2, across={0: sym("a0"), 3: 2, 5: sym("a5")},
+                        down={2: sym("d2"), 4: sym("d4"), 6: -1})]
+    specs += [random_weight_spec(rng, 6) for _ in range(4)]
+
+    def refuse(self, other):
+        raise AssertionError("_decoration_cut formed a product")
+
+    monkeypatch.setattr(LaurentPolynomial, "__mul__", refuse)
+    monkeypatch.setattr(LaurentPolynomial, "__rmul__", refuse)
+    cuts = [_decoration_cut(k, j, w) for w in specs for k in range(8) for j in range(3)]
+    assert max(len(ds) for cut in cuts for ds, _ in cut) >= 3
 
 
 def test_decompose_no_decorations():
@@ -146,7 +167,7 @@ def test_decompose_single_down_decoration():
     w = WeightSpec(6, 0, 1, down={3: sym("kappa") - 1})
     d = decompose(6, 0, w)
     assert d.term_count == 2
-    assert d.expand(w) == ortho_poly(6, 0, w).poly
+    assert d.expand(w) == ortho_poly(6, 0, w)
 
 
 def test_decompose_boundary_pair_form():
@@ -165,7 +186,7 @@ def test_decompose_boundary_pair_form():
         ], key=lambda t: (t[1], t[0].render()))
         got = d.normalized_terms(w)
         assert [(c.render(), o) for c, o in got] == [(c.render(), o) for c, o in expected]
-        assert d.expand(w) == ortho_poly(L + 1, 0, w).poly
+        assert d.expand(w) == ortho_poly(L + 1, 0, w)
 
 
 def test_decompose_bound_randomized():
@@ -179,7 +200,7 @@ def test_decompose_bound_randomized():
         d = decompose(k, j, w)
         assert d.term_count <= 2 ** n_down * 3 ** n_across
         assert d.max_factor_count <= n_down + n_across + 1
-        assert d.expand(w) == ortho_poly(k, j, w).poly
+        assert d.expand(w) == ortho_poly(k, j, w)
         checked += 1
     assert checked == 40
 
@@ -193,7 +214,7 @@ def test_decompose_bound_tight_when_separated():
     assert (n_down, n_across) == (2, 1)
     d = decompose(k, j, w)
     assert d.term_count == 2 ** 2 * 3
-    assert d.expand(w) == ortho_poly(k, j, w).poly
+    assert d.expand(w) == ortho_poly(k, j, w)
 
 
 def test_decompose_factors_reference_background_family():
@@ -205,4 +226,4 @@ def test_decompose_factors_reference_background_family():
         for _, order in term.factors:
             prod = prod * chebyshev_s(order, 1, 1)
         total = total + prod
-    assert total == ortho_poly(7, 0, w).poly
+    assert total == ortho_poly(7, 0, w)
