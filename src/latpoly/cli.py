@@ -211,17 +211,15 @@ def _model_jobs(args, var, values):
         key = "L" if var == "L" else half
         if key in params:
             raise ValueError(f"--sweep {var} takes no --param {key}")
-        points = [(var, key, v) for v in values]
         made = {}
     else:
         model = cls(**params)
-        top = getattr(model, half)
+        key, top = half, getattr(model, half)
         made = {top: model}
-        grid = range(top + 1) if args.mode == "crosscheck" else [top]
-        points = [("r", half, v) for v in grid]
-    for var, key, value in points:
+        values = range(top + 1) if args.mode == "crosscheck" else [top]
+    for value in values:
         # no query or weights: _query makes them only for the engines that read them
-        yield (f"model={args.model};{var}={value}", None, None,
+        yield (f"model={args.model};{key}={value}", None, None,
                made.get(value) or cls(**{**params, key: value}))
 
 

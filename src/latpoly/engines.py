@@ -43,7 +43,7 @@ from .symbolic import (
     series_invert,
     sym,
 )
-from .orthopoly import WeightSpec, _laurent_backgrounds, ortho_poly, reciprocal, to_laurent
+from .orthopoly import WeightSpec, _laurent_backgrounds, ortho_poly, to_laurent
 from .paving import _decoration_cut
 
 DEFAULT_BRUTE_CAP = 18
@@ -333,11 +333,12 @@ def _windows(q: StripQuery) -> tuple:
 @lru_cache(maxsize=1024)
 def _ratio(y_start: int, y_end: int, L: int, w: WeightSpec) -> tuple:
     """Numerator and denominator of Viennot's ratio (see ``_windows``) in x,
-    each P mapped by ``reciprocal``.  It does not depend on the path length,
-    so every t of viennot-ct and gf reads one cached pair.  The numerator is
-    zero exactly when h has a zero lambda, a wall between the two heights."""
+    each P_k reversed at k, its degree, as ``reciprocal`` does but with no
+    scan for the degree.  It does not depend on the path length, so every t
+    of viennot-ct and gf reads one cached pair.  The numerator is zero
+    exactly when h has a zero lambda, a wall between the two heights."""
     q = StripQuery(0, y_start, y_end, L)
-    lo, hi, den = (reciprocal(ortho_poly(k, j, w)) for k, j in _windows(q))
+    lo, hi, den = (ortho_poly(k, j, w).reverse("x", k) for k, j in _windows(q))
     return _dot([(1, lo, h_factor(q, w), hi)]), den
 
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CutOutOfRange, SizeLimit
-from .symbolic import LaurentPolynomial, ONE, _dot, as_poly, sym
-from .orthopoly import WeightSpec, chebyshev_s, ortho_poly
+from .symbolic import LaurentPolynomial, ONE, _dot, sym
+from .orthopoly import WeightSpec, ortho_poly
 
 DEFAULT_PAVING_CAP = 500_000
 
@@ -120,14 +120,12 @@ class DecompositionTerm:
 class Decomposition:
     """A sum of coefficient * product-of-factor-polynomials equal to P_k^(j).
 
-    basis "ortho": factors are (shift, order) references to P_order^(shift)
-    of the weight spec used for expansion (cut identities).
-    basis "chebyshev": factors reference the undecorated background S_order
-    (shift retained for audit only, S is shift independent).
+    A factor (shift, order) stands for P_order^(shift) of the weight spec
+    that the terms are read with.  A factor of :func:`decompose` has no
+    decoration in its window, so it is the background S_order there.
     """
     k: int
     j: int
-    basis: str
     terms: tuple
 
     @property
@@ -139,41 +137,26 @@ class Decomposition:
         return max((len(t.factors) for t in self.terms), default=0)
 
     def expand(self, w: WeightSpec) -> LaurentPolynomial:
-        total = as_poly(0)
-        for term in self.terms:
-            prod = term.coefficient
-            for shift, order in term.factors:
-                if self.basis == "ortho":
-                    prod = prod * ortho_poly(order, shift, w)
-                else:
-                    prod = prod * chebyshev_s(order, w.background_b,
-                                              w.background_lambda)
-            total = total + prod
-        return total
+        return _dot((term.coefficient, *(ortho_poly(order, shift, w)
+                                         for shift, order in term.factors))
+                    for term in self.terms)
 
     def normalized_terms(self, w: WeightSpec) -> list:
-        """Chebyshev-basis terms with order <= 1 factors folded into the
-        coefficient, as (coefficient, sorted tuple of orders >= 2) pairs
-        sorted canonically.  Lets a term like S_1 * S_1 * S_5 compare equal
-        to an expected x^2 * S_5."""
-        if self.basis != "chebyshev":
-            raise ValueError("normalized_terms applies to the chebyshev basis")
+        """Terms with order <= 1 factors folded into the coefficient, as
+        (coefficient, sorted tuple of orders >= 2) pairs sorted canonically.
+        Lets a term like S_1 * S_1 * S_5 compare equal to an expected
+        x^2 * S_5."""
         out = []
         for term in self.terms:
             coeff = term.coefficient
             orders = []
-            for _, order in term.factors:
+            for shift, order in term.factors:
                 if order <= 1:
-                    coeff = coeff * chebyshev_s(order, w.background_b,
-                                                w.background_lambda)
+                    coeff = coeff * ortho_poly(order, shift, w)
                 else:
                     orders.append(order)
             out.append((coeff, tuple(sorted(orders))))
         return sorted(out, key=lambda t: (t[1], t[0].render()))
-
-
-def _generic_for_cut(k: int, j: int) -> WeightSpec:
-    return WeightSpec.generic(j + k)
 
 
 def edge_cut(k: int, j: int, c: int, w: WeightSpec | None = None) -> Decomposition:
@@ -185,13 +168,13 @@ def edge_cut(k: int, j: int, c: int, w: WeightSpec | None = None) -> Decompositi
     if not 1 <= c <= k - 1:
         raise CutOutOfRange(f"edge cut needs 1 <= c <= k-1, got c={c}, k={k}")
     if w is None:
-        w = _generic_for_cut(k, j)
+        w = WeightSpec.generic(j + k)
     terms = (
         DecompositionTerm(ONE, ((j, c), (j + c, k - c))),
         DecompositionTerm(-w.effective_lambda(c + j),
                           ((j, c - 1), (j + c + 1, k - c - 1))),
     )
-    return Decomposition(k, j, "ortho", terms)
+    return Decomposition(k, j, terms)
 
 
 def vertex_cut(k: int, j: int, c: int, w: WeightSpec | None = None) -> Decomposition:
@@ -205,7 +188,7 @@ def vertex_cut(k: int, j: int, c: int, w: WeightSpec | None = None) -> Decomposi
     if not 0 <= c <= k - 1:
         raise CutOutOfRange(f"vertex cut needs 0 <= c <= k-1, got c={c}, k={k}")
     if w is None:
-        w = _generic_for_cut(k, j)
+        w = WeightSpec.generic(j + k)
     terms = [DecompositionTerm(_X - w.effective_b(c + j),
                                ((j, c), (j + c + 1, k - c - 1)))]
     if k - c - 2 >= 0:
@@ -214,7 +197,7 @@ def vertex_cut(k: int, j: int, c: int, w: WeightSpec | None = None) -> Decomposi
     if c - 1 >= 0:
         terms.append(DecompositionTerm(-w.effective_lambda(c + j),
                                        ((j, c - 1), (j + c + 1, k - c - 1))))
-    return Decomposition(k, j, "ortho", terms)
+    return Decomposition(k, j, terms)
 
 
 def _decorated_positions(k: int, j: int, w: WeightSpec) -> list:
@@ -280,7 +263,7 @@ def decompose(k: int, j: int, w: WeightSpec) -> Decomposition:
         raise ValueError("order and shift must be nonnegative")
     terms = tuple(DecompositionTerm(coeff, factors)
                   for coeff, factors in _decompose_terms(k, j, w))
-    return Decomposition(k, j, "chebyshev", terms)
+    return Decomposition(k, j, terms)
 
 
 def decoration_window_sizes(k: int, j: int, w: WeightSpec) -> tuple:

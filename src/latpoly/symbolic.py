@@ -703,27 +703,26 @@ class TruncatedSeries:
         """Multiply by a polynomial; the trusted order shifts by its lowest
         exponent in ``var`` (unknown tail terms pollute everything above).
 
-        With ``exponent`` set, only the coefficient of var**exponent is
-        computed, as the sum of p[e] * self[exponent - e] over the exponents
-        e of p, and the result holds that coefficient alone."""
+        Each coefficient is the sum of self[e - pe] * p[pe] over the
+        exponents pe of p.  It is computed for every e that some pair of
+        terms reaches, up to the trusted order, or, with ``exponent`` set,
+        for that e alone, and the result holds that coefficient alone."""
         self._check_known()
         parts = as_poly(p).split(self.var)
         order = self.truncation_order + min(parts, default=0)
+        coeffs = self._coeffs
         if exponent is None:
-            pairs: dict = {}
-            for pe, pc in parts.items():
-                for se, sc in self._coeffs.items():
-                    if se + pe <= order:
-                        pairs.setdefault(se + pe, []).append((sc, pc))
-            return TruncatedSeries(self.var, {e: _dot(ab) for e, ab in pairs.items()}, order)
-        if exponent > order:
+            reached = {se + pe for pe in parts for se in coeffs if se + pe <= order}
+        elif exponent > order:
             raise TruncationInsufficient(
                 f"exponent {exponent} beyond truncation order {order}")
-        acc = _dot([(self._coeffs[exponent - pe], pc) for pe, pc in parts.items()
-                    if exponent - pe in self._coeffs])
-        single = TruncatedSeries(self.var, {exponent: acc}, order)
-        single._only = exponent
-        return single
+        else:
+            reached = (exponent,)
+        out = TruncatedSeries(self.var, {
+            e: _dot([(coeffs[e - pe], pc) for pe, pc in parts.items() if e - pe in coeffs])
+            for e in reached}, order)
+        out._only = exponent
+        return out
 
     def __mul__(self, other):
         return self.mul_poly(other)
@@ -943,23 +942,18 @@ def parse_polynomial(text: str, allowed_symbols=None) -> LaurentPolynomial:
     Exponents are integers (negative only where the ring allows it).
     Floating literals, an empty expression and one nested past the
     interpreter's recursion limit are refused with ``ValueError``, and
-    anything but a ``str`` with ``TypeError``.  With no ``allowed_symbols``,
-    each distinct text is parsed once, through a bounded cache: the
-    polynomial is immutable, so sharing it is exact.
+    anything but a ``str`` with ``TypeError``.  A symbol outside
+    ``allowed_symbols``, when given, is refused with ``ValueError``.  Each
+    distinct text and set of allowed symbols is parsed once, through a
+    bounded cache: the polynomial is immutable, so sharing it is exact.
     """
     if not isinstance(text, str):
         raise TypeError(f"a polynomial is parsed from a str, got {type(text).__name__}")
-    if allowed_symbols is None:
-        return _parse_cached(text)
-    return _parse(text, allowed_symbols)
+    return _parse_cached(text, None if allowed_symbols is None else frozenset(allowed_symbols))
 
 
 @lru_cache(maxsize=256)
-def _parse_cached(text: str) -> LaurentPolynomial:
-    return _parse(text, None)
-
-
-def _parse(text: str, allowed_symbols) -> LaurentPolynomial:
+def _parse_cached(text: str, allowed) -> LaurentPolynomial:
     tokens = _tokenize(text)
     pos = 0
 
@@ -1021,7 +1015,7 @@ def _parse(text: str, allowed_symbols) -> LaurentPolynomial:
             return as_poly(value)
         if kind == "name":
             name = take("name")
-            if allowed_symbols is not None and name not in allowed_symbols:
+            if allowed is not None and name not in allowed:
                 raise ValueError(f"unknown symbol {name!r}")
             return sym(name)
         if (kind, value) == ("op", "("):

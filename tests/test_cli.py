@@ -68,6 +68,27 @@ def test_crosscheck_model_agrees(capsys):
     assert "all agree" in out
 
 
+def test_model_jobs_are_labelled_by_the_models_first_field(capsys):
+    # Rogers paths have half-length n, dmr and four have r; a crosscheck
+    # and a bench sweep name each job by that field, an L sweep by L
+    code, out, _ = run_cli(["crosscheck", "--model", "rogers", "--param", "n=2"], capsys)
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()[:3]] == [
+        "model=rogers;n=0", "model=rogers;n=1", "model=rogers;n=2"]
+    for sweep, param, labels in (("r:1:2", "L=2", ["n=1", "n=2"]),
+                                 ("L:2:3", "n=2", ["L=2", "L=3"])):
+        code, out, _ = run_cli(["bench", "--sweep", sweep, "--model", "rogers",
+                                "--param", param, "--engines", "closed-form"], capsys)
+        assert code == 0
+        rows = csv.DictReader(io.StringIO(out))
+        assert [r["query"] for r in rows] == [f"model=rogers;{v}" for v in labels]
+    code, out, _ = run_cli(["crosscheck", "--model", "dmr", "--param", "r=1",
+                            "--param", "L=2"], capsys)
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()[:2]] == [
+        "model=dmr;r=0", "model=dmr;r=1"]
+
+
 def test_crosscheck_symbolic_grid(capsys):
     code, out, _ = run_cli(["crosscheck", "--t", "3", "--L", "2"], capsys)
     assert code == 0

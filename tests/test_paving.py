@@ -107,6 +107,25 @@ def test_vertex_cut_examples():
     assert degenerate.expand(w) == X - sym("b0")
 
 
+def test_cut_terms_fold_through_the_recurrence_polynomials():
+    # a cut's factors are P_order^(shift) of the spec they are read with:
+    # normalized_terms folds those of order <= 1 into the coefficient, so
+    # P_1^(0) = x - b0 here and P_1^(2) = x - b2, and expand reads them all
+    w = WeightSpec.generic(3)
+    b0, b1, b2 = sym("b0"), sym("b1"), sym("b2")
+    lam1 = sym("lambda1")
+    d = edge_cut(3, 0, 1, w)
+    assert d.normalized_terms(w) == [(-lam1 * (X - b2), ()), (X - b0, (2,))]
+    assert d.expand(w) == ortho_poly(3, 0, w)
+    d = vertex_cut(2, 0, 0, w)
+    assert d.normalized_terms(w) == sorted(
+        [((X - b0) * (X - b1), ()), (-lam1, ())], key=lambda t: t[0].render())
+    assert d.expand(w) == ortho_poly(2, 0, w)
+    # over a rational background with a decoration too
+    other = WeightSpec(3, 1, 2, across={2: sym("beta")})
+    assert edge_cut(3, 0, 1, other).expand(other) == ortho_poly(3, 0, other)
+
+
 def test_cut_out_of_range():
     with pytest.raises(CutOutOfRange):
         edge_cut(2, 0, 0)

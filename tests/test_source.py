@@ -25,6 +25,28 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_library_modules_read_every_name_they_import():
+    # a deleted use leaves its import behind; __init__.py imports to export
+    dead = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        dead += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                 if name not in read]
+    assert dead == []
+
+
 def test_benchmark_tracer_names_exist():
     # perfbench/tracer.py rebinds these names from outside the library, and
     # this suite does not run the benchmark, so a rename would pass here and

@@ -7,6 +7,7 @@ import pickle
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 from fractions import Fraction
 from math import comb
@@ -389,9 +390,14 @@ def test_parse_polynomial_parses_each_text_once():
     # polynomial is immutable, so every caller may hold the same object
     z = parse_polynomial("z")
     assert parse_polynomial("z") is z == sym("z")
-    # a restricted parse never reads the cache, so its check still runs
-    with pytest.raises(ValueError, match="unknown symbol 'z'"):
-        parse_polynomial("z", allowed_symbols={"x"})
+    # a restricted parse is cached by its text and its allowed symbols, so
+    # a second call shares the first one's polynomial, and a symbol outside
+    # them is refused on every call: the cache keeps no refusal
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown symbol 'z'"):
+            parse_polynomial("z", allowed_symbols={"x"})
+    zx = parse_polynomial("z + x", allowed_symbols={"z", "x"})
+    assert parse_polynomial("z + x", allowed_symbols=["x", "z"]) is zx == z + X
     assert parse_polynomial("z", allowed_symbols={"z"}) == z
     # a refused text is refused on every call, not cached
     for text in ("1.5", "2*1.5", "", "  ", "z +"):
@@ -701,6 +707,20 @@ def test_series_invert_is_history_independent(d, orders):
         got._coeffs.clear()
         got._coeffs[got.truncation_order] = sym("kappa")
         got.truncation_order += 1
+
+
+def test_mul_poly_reads_only_the_exponents_its_terms_reach():
+    # two terms a million apart: the product's exponents are the sums of
+    # pairs of terms within the trusted order, found with no loop over the
+    # exponents between them
+    x = sym("x")
+    s = TruncatedSeries("x", {0: 1, 10**6: 1}, 10**6)
+    start = time.perf_counter()
+    product = s.mul_poly(1 + x)
+    elapsed = time.perf_counter() - start
+    assert product == TruncatedSeries("x", {0: 1, 1: 1, 10**6: 1}, 10**6)
+    assert s.mul_poly(1 + x, exponent=1).coefficient(1) == ONE
+    assert elapsed < 0.5
 
 
 @settings(max_examples=60, deadline=None)
