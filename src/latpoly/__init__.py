@@ -7,6 +7,8 @@ mutually verifying engines and by closed forms for the classic two- and
 four-boundary-weight models, all in exact rational arithmetic.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     CutOutOfRange,
     GuardViolation,
@@ -80,4 +82,6 @@ from .closedforms import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules bound by the imports above are not part of the API
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _ModuleType)]

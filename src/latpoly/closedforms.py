@@ -363,10 +363,10 @@ def stratified_weight(n: int, l: int, kappas) -> LaurentPolynomial:
     from each height; the binomial counts the interleavings of the level
     k+2 excursions among the level k+1 arches.
     """
-    if n < 0:
-        raise ValueError(f"half-length must be nonnegative, got {n}")
-    if l < 0:
+    _check_count(n, "half-length n")
+    if isinstance(l, int) and l < 0:
         raise IndexOutOfRange(f"stratum index must be nonnegative, got {l}")
+    _check_count(l, "stratum index l")
     if l >= n:
         return ZERO  # a length-2n Dyck path cannot reach height n + 1
     kappas = _coerce_kappas(kappas)
@@ -410,16 +410,14 @@ def rogers(n: int, L, kappas) -> LaurentPolynomial:
     (L may be None or infinity for the half plane), as the sum of the
     maximum-height strata.  Needs min(n, L) down weights.  The kappas are
     coerced once, and one walk over the chains serves every stratum."""
-    if n < 0:
-        raise ValueError(f"half-length must be nonnegative, got {n}")
-    if n == 0:
-        return ONE  # the empty path, below any stratum
-    if L is None or L == float("inf"):
+    _check_count(n, "half-length n")
+    if L is None or L == inf:
         l_max = n - 1
     else:
-        if L < 0:
-            raise ValueError(f"strip height must be nonnegative, got {L}")
+        _check_count(L, "strip height L")
         l_max = min(n - 1, L - 1)  # empty for L = 0: no room to move
+    if n == 0:
+        return ONE  # the empty path, below any stratum
     kappas = _coerce_kappas(kappas)
     if len(kappas) < l_max + 1:
         raise InsufficientWeights(

@@ -121,8 +121,9 @@ def _check_strip(L: int, w: WeightSpec, what: str = "query strip") -> None:
 
 def path_weight(p: LatticePath, w: WeightSpec) -> LaurentPolynomial:
     """Product of edge weights: up -> 1, across at h -> b_h, down from h ->
-    lambda_h.  The path must stay inside the strip of w."""
-    out = ONE
+    lambda_h, multiplied as one product.  The path must stay inside the
+    strip of w."""
+    factors = []
     h = p.start
     L = w.strip_height
     if not 0 <= h <= L:
@@ -131,19 +132,21 @@ def path_weight(p: LatticePath, w: WeightSpec) -> LaurentPolynomial:
         if s == "up":
             h += 1
         elif s == "across":
-            out = out * w.effective_b(h)
+            factors.append(w.effective_b(h))
         elif s == "down":
-            out = out * w.effective_lambda(h)
+            factors.append(w.effective_lambda(h))
             h -= 1
         else:
             raise ValueError(f"bad step {s!r}")
         if not 0 <= h <= L:
             raise ValueError(f"path leaves the strip [0, {L}] at height {h}")
-    return out
+    return _dot([(1, *factors)])
 
 
 def enumerate_paths(t: int, y_start: int, L: int, y_end: int | None = None):
     """Yield every length-t strip path from y_start (optionally to y_end)."""
+    if t < 0:
+        raise ValueError(f"path length must be nonnegative, got {t}")
     if not 0 <= y_start <= L:
         raise ValueError(f"start height {y_start} outside strip [0, {L}]")
     steps: list = []
@@ -319,6 +322,7 @@ def transfer_matrix(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
 def h_factor(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
     """Product of effective lambda_l over y_end < l <= y_start (1 otherwise);
     compensates a start height above the end height."""
+    _check_strip(q.L, w)
     return _dot([(1, *map(w.effective_lambda, range(q.y_end + 1, q.y_start + 1)))])
 
 

@@ -36,16 +36,16 @@ class Paving:
     pavers: tuple
 
     def weight(self, j: int, w: WeightSpec) -> LaurentPolynomial:
-        out = ONE
+        sign, factors = 1, []
         for kind, pos in self.pavers:
             if kind == "uncovered":
-                out = out * _X
-            elif kind == "monomer":
-                out = out * (-w.effective_b(pos + j))
+                factors.append(_X)
             else:
-                # dimer on vertices pos, pos+1 is edge number pos+1
-                out = out * (-w.effective_lambda(pos + 1 + j))
-        return out
+                sign = -sign
+                # a dimer on vertices pos, pos+1 is edge number pos+1
+                factors.append(w.effective_b(pos + j) if kind == "monomer"
+                               else w.effective_lambda(pos + 1 + j))
+        return _dot([(sign, *factors)])
 
     def ascii(self) -> str:
         """Debug rendering: . uncovered, M monomer, D- dimer pair."""
@@ -118,14 +118,16 @@ class DecompositionTerm:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """A sum of coefficient * product-of-factor-polynomials equal to P_k^(j).
+    """A sum of coefficient * product-of-factor-polynomials equal to P_k^(j)
+    of the weight spec w it was cut from, and read only with that spec.
 
-    A factor (shift, order) stands for P_order^(shift) of the weight spec
-    that the terms are read with.  A factor of :func:`decompose` has no
-    decoration in its window, so it is the background S_order there.
+    A factor (shift, order) stands for P_order^(shift) of w.  A factor of
+    :func:`decompose` has no decoration in its window, so it is the
+    background S_order there.
     """
     k: int
     j: int
+    w: WeightSpec
     terms: tuple
 
     @property
@@ -136,12 +138,12 @@ class Decomposition:
     def max_factor_count(self) -> int:
         return max((len(t.factors) for t in self.terms), default=0)
 
-    def expand(self, w: WeightSpec) -> LaurentPolynomial:
-        return _dot((term.coefficient, *(ortho_poly(order, shift, w)
+    def expand(self) -> LaurentPolynomial:
+        return _dot((term.coefficient, *(ortho_poly(order, shift, self.w)
                                          for shift, order in term.factors))
                     for term in self.terms)
 
-    def normalized_terms(self, w: WeightSpec) -> list:
+    def normalized_terms(self) -> list:
         """Terms with order <= 1 factors folded into the coefficient, as
         (coefficient, sorted tuple of orders >= 2) pairs sorted canonically.
         Lets a term like S_1 * S_1 * S_5 compare equal to an expected
@@ -152,33 +154,29 @@ class Decomposition:
             orders = []
             for shift, order in term.factors:
                 if order <= 1:
-                    coeff = coeff * ortho_poly(order, shift, w)
+                    coeff = coeff * ortho_poly(order, shift, self.w)
                 else:
                     orders.append(order)
             out.append((coeff, tuple(sorted(orders))))
         return sorted(out, key=lambda t: (t[1], t[0].render()))
 
 
-def edge_cut(k: int, j: int, c: int, w: WeightSpec | None = None) -> Decomposition:
-    """Split P_k^(j) at edge c (the edge joining vertices c-1 and c).
+def edge_cut(k: int, j: int, c: int, w: WeightSpec) -> Decomposition:
+    """Split P_k^(j) of w at edge c (the edge joining vertices c-1 and c).
 
     Either the edge carries no dimer, giving P_c^(j) * P_{k-c}^(j+c), or it
     carries one, giving -lambda_{c+j} * P_{c-1}^(j) * P_{k-c-1}^(j+c+1).
     """
     if not 1 <= c <= k - 1:
         raise CutOutOfRange(f"edge cut needs 1 <= c <= k-1, got c={c}, k={k}")
-    if w is None:
-        w = WeightSpec.generic(j + k)
-    terms = (
+    return Decomposition(k, j, w, (
         DecompositionTerm(ONE, ((j, c), (j + c, k - c))),
         DecompositionTerm(-w.effective_lambda(c + j),
-                          ((j, c - 1), (j + c + 1, k - c - 1))),
-    )
-    return Decomposition(k, j, terms)
+                          ((j, c - 1), (j + c + 1, k - c - 1)))))
 
 
-def vertex_cut(k: int, j: int, c: int, w: WeightSpec | None = None) -> Decomposition:
-    """Split P_k^(j) at vertex c.
+def vertex_cut(k: int, j: int, c: int, w: WeightSpec) -> Decomposition:
+    """Split P_k^(j) of w at vertex c.
 
     Vertex c is uncovered or a monomer (coefficient x - b_{c+j}), the left
     end of a dimer (coefficient -lambda_{c+j+1}), or the right end of one
@@ -187,8 +185,6 @@ def vertex_cut(k: int, j: int, c: int, w: WeightSpec | None = None) -> Decomposi
     """
     if not 0 <= c <= k - 1:
         raise CutOutOfRange(f"vertex cut needs 0 <= c <= k-1, got c={c}, k={k}")
-    if w is None:
-        w = WeightSpec.generic(j + k)
     terms = [DecompositionTerm(_X - w.effective_b(c + j),
                                ((j, c), (j + c + 1, k - c - 1)))]
     if k - c - 2 >= 0:
@@ -197,7 +193,7 @@ def vertex_cut(k: int, j: int, c: int, w: WeightSpec | None = None) -> Decomposi
     if c - 1 >= 0:
         terms.append(DecompositionTerm(-w.effective_lambda(c + j),
                                        ((j, c - 1), (j + c + 1, k - c - 1))))
-    return Decomposition(k, j, terms)
+    return Decomposition(k, j, w, tuple(terms))
 
 
 def _decorated_positions(k: int, j: int, w: WeightSpec) -> list:
@@ -208,25 +204,6 @@ def _decorated_positions(k: int, j: int, w: WeightSpec) -> list:
     return sorted([(2 * c - 1, down[c + j]) for c in range(1, k) if c + j in down]
                   + [(2 * c, across[c + j]) for c in range(k) if c + j in across],
                   key=lambda cut: cut[0])
-
-
-def _decompose_terms(k: int, j: int, w: WeightSpec) -> list:
-    """Recursive core of decompose: list of (coefficient, factors) pairs."""
-    if k == 0:
-        return [(ONE, ())]
-    positions = _decorated_positions(k, j, w)
-    if not positions:
-        return [(ONE, ((j, k),))]
-    pos = positions[0][0]
-    cut = edge_cut if pos % 2 else vertex_cut
-    out = []
-    for term in cut(k, j, (pos + 1) // 2, w).terms:
-        # the left factor is decoration free by choice of the first position
-        left, (sub_j, sub_k) = term.factors
-        kept = (left,) if left[1] > 0 else ()
-        out += [(term.coefficient * sub_coeff, kept + sub_factors)
-                for sub_coeff, sub_factors in _decompose_terms(sub_k, sub_j, w)]
-    return out
 
 
 def _decoration_cut(k: int, j: int, w: WeightSpec) -> list:
@@ -250,25 +227,37 @@ def _decoration_cut(k: int, j: int, w: WeightSpec) -> list:
 
 
 def decompose(k: int, j: int, w: WeightSpec) -> Decomposition:
-    """Rewrite P_k^(j) over the undecorated background family S_m.
+    """Rewrite P_k^(j) of w over the undecorated background family S_m.
 
-    Cuts at the leftmost decorated edge or vertex and recurses on the
-    decorated remainder; every decoration ends up in a coefficient, every
-    factor window is decoration free.  An edge cut doubles and a vertex cut
-    at most triples the term count, so with a down decorations and b across
-    decorations inside the window the result has at most 2**a * 3**b terms
-    and at most a + b + 1 factors per term; bunched decorations give fewer.
+    Cuts at the leftmost decorated edge or vertex and decomposes the
+    right factor again; the left one is decoration free by that choice.
+    Every decoration ends up in a coefficient and every factor window is
+    decoration free: an undecorated window is its one factor (none for
+    k = 0).  An edge cut doubles and a vertex cut at most triples the term
+    count, so with a down decorations and b across decorations inside the
+    window the result has at most 2**a * 3**b terms and at most a + b + 1
+    factors per term; bunched decorations give fewer.
     """
     if k < 0 or j < 0:
         raise ValueError("order and shift must be nonnegative")
-    terms = tuple(DecompositionTerm(coeff, factors)
-                  for coeff, factors in _decompose_terms(k, j, w))
-    return Decomposition(k, j, terms)
+    positions = _decorated_positions(k, j, w)
+    if not positions:
+        return Decomposition(k, j, w, (DecompositionTerm(ONE, ((j, k),) if k else ()),))
+    pos = positions[0][0]
+    cut = edge_cut if pos % 2 else vertex_cut
+    terms = []
+    for term in cut(k, j, (pos + 1) // 2, w).terms:
+        left, (sub_j, sub_k) = term.factors
+        kept = (left,) if left[1] > 0 else ()
+        terms += [DecompositionTerm(term.coefficient * sub.coefficient, kept + sub.factors)
+                  for sub in decompose(sub_k, sub_j, w).terms]
+    return Decomposition(k, j, w, tuple(terms))
 
 
 def decoration_window_sizes(k: int, j: int, w: WeightSpec) -> tuple:
     """(down, across) decoration counts visible to P_k^(j): down-step heights
-    in [j+1, j+k-1], across-step heights in [j, j+k-1]."""
-    down = sum(1 for h in w.down_heights if j + 1 <= h <= j + k - 1)
-    across = sum(1 for h in w.across_heights if j <= h <= j + k - 1)
-    return down, across
+    in [j+1, j+k-1] (odd positions of :func:`_decorated_positions`),
+    across-step heights in [j, j+k-1] (even ones)."""
+    positions = _decorated_positions(k, j, w)
+    down = sum(pos % 2 for pos, _ in positions)
+    return down, len(positions) - down

@@ -187,11 +187,11 @@ def test_criterion_5_paving_oracle_and_cuts():
             w = random_weight_spec(rng, min(k + j, 7))
             target = ortho_poly(k, j, w)
             for c in range(1, k):
-                if edge_cut(k, j, c, w).expand(w) != target:
+                if edge_cut(k, j, c, w).expand() != target:
                     failures.append(("edge", k, j, c))
                 cut_cases += 1
             for c in range(0, k):
-                if vertex_cut(k, j, c, w).expand(w) != target:
+                if vertex_cut(k, j, c, w).expand() != target:
                     failures.append(("vertex", k, j, c))
                 cut_cases += 1
     _report(5, "paving sum equals recurrence polynomial (randomized, k<=10, "
@@ -214,7 +214,7 @@ def test_criterion_6_decomposition_bound_and_boundary_form():
             failures.append(("bound", k, j))
         if d.max_factor_count > n_down + n_across + 1:
             failures.append(("factors", k, j))
-        if d.expand(w) != ortho_poly(k, j, w):
+        if d.expand() != ortho_poly(k, j, w):
             failures.append(("expand", k, j))
         cases += 1
     # the boundary-pair decomposition reproduces the published four-term
@@ -227,7 +227,7 @@ def test_criterion_6_decomposition_bound_and_boundary_form():
             [(x ** 2, (L - 1,)), (-KAPPA * x, (L - 2,)),
              (-OMEGA * x, (L - 2,)), (KAPPA * OMEGA, (L - 3,))],
             key=lambda item: (item[1], item[0].render()))
-        got = d.normalized_terms(w)
+        got = d.normalized_terms()
         if [(c.render(), o) for c, o in got] != [(c.render(), o) for c, o in expected]:
             failures.append(("boundary form", L))
         if d.term_count != 4:

@@ -367,6 +367,21 @@ def test_strata_support_and_errors():
         rogers(5, 4, KAPPAS[:2])
 
 
+def test_rogers_and_strata_check_their_sizes_as_rogers_params_does():
+    # a bool or a non-integer size is refused, not read as 1 or left to range()
+    a = sym("a")
+    for make in (lambda: rogers(3, True, [a, 1, 1]), lambda: rogers(True, None, [a]),
+                 lambda: rogers(3, 2.5, [a, 1, 1]), lambda: rogers(-1, None, [a]),
+                 lambda: rogers(2, -1, [a]), lambda: stratified_weight(2.0, 0, [1]),
+                 lambda: stratified_weight(-1, 0, [1]), lambda: stratified_weight(2, 0.5, [1])):
+        with pytest.raises(ValueError, match="must be"):
+            make()
+    with pytest.raises(IndexOutOfRange):
+        stratified_weight(2, -1, [1])
+    # the half plane is still None or infinity
+    assert rogers(2, float("inf"), [a, 1]) == rogers(2, None, [a, 1]) == a ** 2 + a
+
+
 def test_rogers_refuses_a_runaway_chain_count():
     # the half plane at n walks 2^(n-1) chains, which n = 40 would take
     # years to sum; the count is known before the walk, so it is refused

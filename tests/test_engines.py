@@ -88,6 +88,26 @@ def test_path_weight_strip_violation():
         path_weight(LatticePath(0, ("down",)), w)
 
 
+def test_path_weight_forms_no_product_of_its_own(monkeypatch):
+    # the weights of a path are multiplied as one _dot entry
+    w = WeightSpec.generic(2)
+    p = LatticePath(0, ("across", "up", "across", "up", "down", "across", "down"))
+    expected = path_weight(p, w)
+    assert expected == sym("b0") * sym("b1") * sym("lambda2") * sym("b1") * sym("lambda1")
+
+    def refuse(self, other):
+        raise AssertionError("path_weight formed a product")
+
+    monkeypatch.setattr(LaurentPolynomial, "__mul__", refuse)
+    monkeypatch.setattr(LaurentPolynomial, "__rmul__", refuse)
+    assert path_weight(p, w) == expected
+
+
+def test_enumerate_paths_refuses_a_negative_length():
+    with pytest.raises(ValueError, match="path length must be nonnegative"):
+        list(enumerate_paths(-1, 0, 2))
+
+
 def test_enumerate_paths_counts():
     # Motzkin numbers: unconstrained when the strip is tall enough
     motzkin = [1, 1, 2, 4, 9, 21, 51]
@@ -357,6 +377,13 @@ def test_h_factor():
     assert h_factor(StripQuery(0, 1, 0, 3), w) == 1 + sym("kappa_hat")
     w2 = WeightSpec.generic(3)
     assert h_factor(StripQuery(0, 2, 0, 3), w2) == sym("lambda1") * sym("lambda2")
+
+
+def test_h_factor_refuses_a_strip_that_is_not_its_specs():
+    # lambda_3..lambda_5 lie past the spec's strip of height 2
+    w = WeightSpec(2, 0, 1, down={2: sym("k")})
+    with pytest.raises(ValueError, match="query strip L=5 != weights strip L=2"):
+        h_factor(StripQuery(2, 5, 0, 5), w)
 
 
 def test_viennot_ct_examples():

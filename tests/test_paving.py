@@ -83,6 +83,19 @@ def test_paving_oracle_randomized():
     assert cases >= 30
 
 
+def test_paving_weight_forms_no_product_of_its_own(monkeypatch):
+    # the weights of a paving are multiplied as one _dot entry
+    w = WeightSpec(4, 1, 2, across={1: sym("a")}, down={2: sym("d")})
+    target = ortho_poly(4, 0, w)
+
+    def refuse(self, other):
+        raise AssertionError("Paving.weight formed a product")
+
+    monkeypatch.setattr(LaurentPolynomial, "__mul__", refuse)
+    monkeypatch.setattr(LaurentPolynomial, "__rmul__", refuse)
+    assert paving_polynomial(4, 0, w) == target
+
+
 def test_ascii_dump():
     pavings = {p.ascii() for p in enumerate_pavings(3, "motzkin")}
     assert "..." in pavings and "D-." in pavings and "MMM" in pavings
@@ -94,17 +107,17 @@ def test_edge_cut_example():
     d = edge_cut(2, 0, 1, w)
     assert d.term_count == 2
     b0, b1, lam1 = sym("b0"), sym("b1"), sym("lambda1")
-    assert d.expand(w) == (X - b0) * (X - b1) - lam1
-    assert d.expand(w) == ortho_poly(2, 0, w)
+    assert d.expand() == (X - b0) * (X - b1) - lam1
+    assert d.expand() == ortho_poly(2, 0, w)
 
 
 def test_vertex_cut_examples():
     w = WeightSpec.generic(2)
     d = vertex_cut(2, 0, 1, w)
-    assert d.expand(w) == ortho_poly(2, 0, w)
+    assert d.expand() == ortho_poly(2, 0, w)
     degenerate = vertex_cut(1, 0, 0, w)
     assert degenerate.term_count == 1
-    assert degenerate.expand(w) == X - sym("b0")
+    assert degenerate.expand() == X - sym("b0")
 
 
 def test_cut_terms_fold_through_the_recurrence_polynomials():
@@ -115,24 +128,59 @@ def test_cut_terms_fold_through_the_recurrence_polynomials():
     b0, b1, b2 = sym("b0"), sym("b1"), sym("b2")
     lam1 = sym("lambda1")
     d = edge_cut(3, 0, 1, w)
-    assert d.normalized_terms(w) == [(-lam1 * (X - b2), ()), (X - b0, (2,))]
-    assert d.expand(w) == ortho_poly(3, 0, w)
+    assert d.normalized_terms() == [(-lam1 * (X - b2), ()), (X - b0, (2,))]
+    assert d.expand() == ortho_poly(3, 0, w)
     d = vertex_cut(2, 0, 0, w)
-    assert d.normalized_terms(w) == sorted(
+    assert d.normalized_terms() == sorted(
         [((X - b0) * (X - b1), ()), (-lam1, ())], key=lambda t: t[0].render())
-    assert d.expand(w) == ortho_poly(2, 0, w)
+    assert d.expand() == ortho_poly(2, 0, w)
     # over a rational background with a decoration too
     other = WeightSpec(3, 1, 2, across={2: sym("beta")})
-    assert edge_cut(3, 0, 1, other).expand(other) == ortho_poly(3, 0, other)
+    assert edge_cut(3, 0, 1, other).expand() == ortho_poly(3, 0, other)
 
 
 def test_cut_out_of_range():
+    w = WeightSpec.generic(2)
     with pytest.raises(CutOutOfRange):
-        edge_cut(2, 0, 0)
+        edge_cut(2, 0, 0, w)
     with pytest.raises(CutOutOfRange):
-        edge_cut(2, 0, 2)
+        edge_cut(2, 0, 2, w)
     with pytest.raises(CutOutOfRange):
-        vertex_cut(2, 0, 2)
+        vertex_cut(2, 0, 2, w)
+
+
+def test_a_decomposition_is_read_with_the_spec_it_was_cut_from():
+    # a rational background with a decoration: every factor, folded or
+    # expanded, is P_order^(shift) of this spec and of no other
+    beta = sym("beta")
+    w = WeightSpec(3, 1, 2, across={2: beta})
+    for d in (edge_cut(3, 0, 1, w), vertex_cut(3, 0, 1, w), decompose(3, 0, w)):
+        assert d.w is w
+        assert d.expand() == ortho_poly(3, 0, w)
+    # edge 1: S_1 * P_2^(1) - lambda_1 * S_0 * P_1^(2), with P_1^(2) = x - 1 - beta
+    assert edge_cut(3, 0, 1, w).normalized_terms() == [(-2 * (X - 1 - beta), ()),
+                                                       (X - 1, (2,))]
+    # vertex 2: (x - b_2) * S_2 * S_0 - lambda_2 * S_1 * S_0
+    assert decompose(3, 0, w).normalized_terms() == [(-2 * (X - 1), ()),
+                                                     (X - 1 - beta, (2,))]
+    # a cut made without its spec, or expanded with another, is refused
+    with pytest.raises(TypeError):
+        edge_cut(3, 0, 1)
+    with pytest.raises(TypeError):
+        edge_cut(3, 0, 1, w).expand(WeightSpec.generic(3))
+
+
+def test_decoration_window_sizes_count_the_decorated_heights():
+    # down steps are visible at heights j+1..j+k-1, across steps at j..j+k-1
+    rng = random.Random(5150)
+    for _ in range(200):
+        L = rng.randint(0, 6)
+        w = random_weight_spec(rng, L, max_decorations=6)
+        k = rng.randint(0, L + 1)
+        j = rng.randint(0, L + 1 - k)
+        assert decoration_window_sizes(k, j, w) == (
+            sum(j + 1 <= h <= j + k - 1 for h in w.down_heights),
+            sum(j <= h <= j + k - 1 for h in w.across_heights))
 
 
 def test_cut_soundness_randomized():
@@ -142,9 +190,9 @@ def test_cut_soundness_randomized():
             w = random_weight_spec(rng, min(k + j, 6))
             target = ortho_poly(k, j, w)
             for c in range(1, k):
-                assert edge_cut(k, j, c, w).expand(w) == target
+                assert edge_cut(k, j, c, w).expand() == target
             for c in range(0, k):
-                assert vertex_cut(k, j, c, w).expand(w) == target
+                assert vertex_cut(k, j, c, w).expand() == target
             # the cut at decorations alone, every factor an undecorated S_m
             expansion = 0
             for ds, orders in _decoration_cut(k, j, w):
@@ -186,7 +234,7 @@ def test_decompose_single_down_decoration():
     w = WeightSpec(6, 0, 1, down={3: sym("kappa") - 1})
     d = decompose(6, 0, w)
     assert d.term_count == 2
-    assert d.expand(w) == ortho_poly(6, 0, w)
+    assert d.expand() == ortho_poly(6, 0, w)
 
 
 def test_decompose_boundary_pair_form():
@@ -203,9 +251,9 @@ def test_decompose_boundary_pair_form():
             (-omega * X, (L - 2,)),
             (kappa * omega, (L - 3,)),
         ], key=lambda t: (t[1], t[0].render()))
-        got = d.normalized_terms(w)
+        got = d.normalized_terms()
         assert [(c.render(), o) for c, o in got] == [(c.render(), o) for c, o in expected]
-        assert d.expand(w) == ortho_poly(L + 1, 0, w)
+        assert d.expand() == ortho_poly(L + 1, 0, w)
 
 
 def test_decompose_bound_randomized():
@@ -219,7 +267,7 @@ def test_decompose_bound_randomized():
         d = decompose(k, j, w)
         assert d.term_count <= 2 ** n_down * 3 ** n_across
         assert d.max_factor_count <= n_down + n_across + 1
-        assert d.expand(w) == ortho_poly(k, j, w)
+        assert d.expand() == ortho_poly(k, j, w)
         checked += 1
     assert checked == 40
 
@@ -233,7 +281,7 @@ def test_decompose_bound_tight_when_separated():
     assert (n_down, n_across) == (2, 1)
     d = decompose(k, j, w)
     assert d.term_count == 2 ** 2 * 3
-    assert d.expand(w) == ortho_poly(k, j, w)
+    assert d.expand() == ortho_poly(k, j, w)
 
 
 def test_decompose_factors_reference_background_family():

@@ -47,6 +47,26 @@ def test_library_modules_read_every_name_they_import():
     assert dead == []
 
 
+def test_public_api_is_pinned():
+    # the public API is latpoly.__all__: adding or removing a name edits
+    # this list and is recorded in CHANGES.md; submodules are not in it
+    assert latpoly.__all__ == [
+        "CutOutOfRange", "Decomposition", "DecompositionTerm", "DmrParams",
+        "FourWeightParams", "GuardViolation", "IndexOutOfRange", "InsufficientWeights",
+        "LatPolyError", "LatticePath", "LaurentPolynomial", "NearBranchPoint",
+        "NonInvertibleSubstitution", "NonUnitLeadingCoefficient", "ONE", "Paving",
+        "RogersParams", "SchemaError", "SizeLimit", "StripQuery", "TruncatedSeries",
+        "TruncationInsufficient", "WeightSpec", "ZERO", "ZeroLambda", "as_poly",
+        "brute_force", "chebyshev_closed_form_check", "chebyshev_s",
+        "constant_term_ratio", "decompose", "dmr_ct", "dmr_sum", "edge_cut",
+        "enumerate_paths", "enumerate_pavings", "extended_catalan", "four_weight_ct",
+        "four_weight_sum", "generating_function", "h_factor", "monomial",
+        "ortho_poly", "parse_polynomial", "path_weight", "paving_count",
+        "paving_polynomial", "reciprocal", "rho_ct", "rogers", "rogers_weight_spec",
+        "series_invert", "stratified_weight", "sym", "to_laurent",
+        "transfer_matrix", "vertex_cut", "viennot_ct"]
+
+
 def test_benchmark_tracer_names_exist():
     # perfbench/tracer.py rebinds these names from outside the library, and
     # this suite does not run the benchmark, so a rename would pass here and
