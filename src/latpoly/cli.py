@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cache
 from math import inf
 
-from .errors import LatPolyError, SchemaError
+from .errors import LatPolyError, SchemaError, _check_size
 from .symbolic import LaurentPolynomial, _whole, as_poly, parse_polynomial, sym
 from .orthopoly import WeightSpec
 from .engines import (
@@ -114,8 +114,10 @@ def parse_weights(text: str) -> WeightSpec:
     for key in ("b", "lambda", "L"):
         if key not in doc:
             raise SchemaError(f"/{key}", "missing required key")
-    if isinstance(doc["L"], bool) or not isinstance(doc["L"], int) or doc["L"] < 0:
-        raise SchemaError("/L", f"nonnegative integer required, got {doc['L']!r}")
+    try:
+        _check_size(doc["L"], "L")
+    except ValueError as exc:
+        raise SchemaError("/L", str(exc)) from None
     b = _parse_rational(doc["b"], "/b")
     lam = _parse_rational(doc["lambda"], "/lambda")
     across = _parse_decoration_map(doc, "across_decorations")
@@ -184,8 +186,8 @@ def _symbolic_weights(L: int) -> WeightSpec:
 def _weights_file(args) -> WeightSpec | None:
     """The --weights file, which --L may only repeat, or None; refuses a negative --L."""
     if not args.weights:
-        if args.L is not None and args.L < 0:
-            raise ValueError(f"--L must be nonnegative, got {args.L}")
+        if args.L is not None:
+            _check_size(args.L, "--L")
         return None
     with open(args.weights) as handle:
         w = parse_weights(handle.read())
@@ -240,9 +242,7 @@ def _jobs(args, var=None, values=()):
         points = [(args.t or 0, args.y_start, args.y_end, L)]
     elif args.mode == "crosscheck":
         heights = [L] if fixed is not None else range((3 if L is None else L) + 1)
-        t_max = 6 if args.t is None else args.t
-        if t_max < 0:
-            raise ValueError(f"--t must be nonnegative, got {t_max}")
+        t_max = 6 if args.t is None else _check_size(args.t, "--t")
         points = [(t, y0, y1, h) for h in heights for t in range(t_max + 1)
                   for y0 in range(h + 1) for y1 in range(h + 1)]
     elif var == "t":

@@ -37,7 +37,8 @@ from functools import cached_property, lru_cache
 from math import comb, inf
 
 from .engines import StripQuery, cheb_ct
-from .errors import GuardViolation, IndexOutOfRange, InsufficientWeights, SizeLimit
+from .errors import (GuardViolation, IndexOutOfRange, InsufficientWeights, SizeLimit,
+                     _check_size)
 from .symbolic import LaurentPolynomial, ONE, ZERO, _Powers, _dot, as_poly, sym
 from .orthopoly import WeightSpec
 
@@ -86,14 +87,6 @@ def _coerce_value(value) -> LaurentPolynomial:
                          f" or a symbol name, got {value!r}") from None
 
 
-def _check_count(value, name: str) -> None:
-    """Refuse a size parameter that is missing, not an integer or negative."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value}")
-    if value < 0:
-        raise ValueError(f"{name} must be nonnegative, got {value}")
-
-
 @dataclass(frozen=True)
 class DmrParams:
     """Dyck paths of length 2r in a strip of height L >= 2, with the down
@@ -105,12 +98,8 @@ class DmrParams:
     omega: LaurentPolynomial = field(default_factory=lambda: sym("omega"))
 
     def __post_init__(self):
-        _check_count(self.r, "half-length r")
-        _check_count(self.L, "strip height L")
-        if self.L < 2:
-            raise ValueError(
-                f"strip height must be at least 2 so the two decorated"
-                f" heights are distinct, got L={self.L}")
+        _check_size(self.r, "half-length r")
+        _check_size(self.L, "strip height L", 2)
         object.__setattr__(self, "kappa", _coerce_value(self.kappa))
         object.__setattr__(self, "omega", _coerce_value(self.omega))
 
@@ -142,12 +131,8 @@ class FourWeightParams:
     omega2: LaurentPolynomial = field(default_factory=lambda: sym("omega_2"))
 
     def __post_init__(self):
-        _check_count(self.r, "half-length r")
-        _check_count(self.L, "strip height L")
-        if self.L < 4:
-            raise ValueError(
-                f"strip height must be at least 4 so the four decorated"
-                f" heights are distinct, got L={self.L}")
+        _check_size(self.r, "half-length r")
+        _check_size(self.L, "strip height L", 4)
         for name in ("kappa1", "kappa2", "omega1", "omega2"):
             object.__setattr__(self, name, _coerce_value(getattr(self, name)))
 
@@ -363,10 +348,8 @@ def stratified_weight(n: int, l: int, kappas) -> LaurentPolynomial:
     from each height; the binomial counts the interleavings of the level
     k+2 excursions among the level k+1 arches.
     """
-    _check_count(n, "half-length n")
-    if isinstance(l, int) and l < 0:
-        raise IndexOutOfRange(f"stratum index must be nonnegative, got {l}")
-    _check_count(l, "stratum index l")
+    _check_size(n, "half-length n")
+    _check_size(l, "stratum index l", error=IndexOutOfRange)
     if l >= n:
         return ZERO  # a length-2n Dyck path cannot reach height n + 1
     kappas = _coerce_kappas(kappas)
@@ -410,11 +393,11 @@ def rogers(n: int, L, kappas) -> LaurentPolynomial:
     (L may be None or infinity for the half plane), as the sum of the
     maximum-height strata.  Needs min(n, L) down weights.  The kappas are
     coerced once, and one walk over the chains serves every stratum."""
-    _check_count(n, "half-length n")
+    _check_size(n, "half-length n")
     if L is None or L == inf:
         l_max = n - 1
     else:
-        _check_count(L, "strip height L")
+        _check_size(L, "strip height L")
         l_max = min(n - 1, L - 1)  # empty for L = 0: no room to move
     if n == 0:
         return ONE  # the empty path, below any stratum
@@ -427,11 +410,8 @@ def rogers(n: int, L, kappas) -> LaurentPolynomial:
 
 def rogers_weight_spec(L: int, kappas) -> WeightSpec:
     """Strip weights matching :func:`rogers`: down weight kappa_i at height i."""
-    kappas = _coerce_kappas(kappas)
-    down = {}
-    for i in range(1, min(len(kappas), L) + 1):
-        down[i] = kappas[i - 1] - 1
-    return WeightSpec(L, 0, 1, down=down)
+    kappas = _coerce_kappas(kappas)[:_check_size(L, "strip height L")]
+    return WeightSpec(L, 0, 1, down={i: k - 1 for i, k in enumerate(kappas, 1)})
 
 
 @dataclass(frozen=True)
@@ -445,11 +425,11 @@ class RogersParams:
     kappas: tuple | None = None
 
     def __post_init__(self):
-        _check_count(self.n, "half-length n")
+        _check_size(self.n, "half-length n")
         if self.L == inf:
             object.__setattr__(self, "L", None)
         if self.L is not None:
-            _check_count(self.L, "strip height L")
+            _check_size(self.L, "strip height L")
         if self.kappas is not None:
             object.__setattr__(self, "kappas", tuple(_coerce_kappas(self.kappas)))
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .errors import SizeLimit
+from .errors import SizeLimit, _check_size
 from .symbolic import (
     LaurentPolynomial,
     ONE,
@@ -64,18 +64,10 @@ class StripQuery:
     L: int
 
     def __post_init__(self):
-        for name in ("t", "y_start", "y_end", "L"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.t < 0:
-            raise ValueError(f"path length must be nonnegative, got {self.t}")
-        if self.L < 0:
-            raise ValueError(f"strip height must be nonnegative, got {self.L}")
-        for name in ("y_start", "y_end"):
-            y = getattr(self, name)
-            if not 0 <= y <= self.L:
-                raise ValueError(f"{name}={y} outside strip [0, {self.L}]")
+        _check_size(self.t, "path length")
+        _check_size(self.L, "strip height")
+        _check_size(self.y_start, "y_start", 0, self.L)
+        _check_size(self.y_end, "y_end", 0, self.L)
 
     @property
     def y_lo(self) -> int:
@@ -124,10 +116,8 @@ def path_weight(p: LatticePath, w: WeightSpec) -> LaurentPolynomial:
     lambda_h, multiplied as one product.  The path must stay inside the
     strip of w."""
     factors = []
-    h = p.start
     L = w.strip_height
-    if not 0 <= h <= L:
-        raise ValueError(f"start height {h} outside strip [0, {L}]")
+    h = _check_size(p.start, "start height", 0, L)
     for s in p.steps:
         if s == "up":
             h += 1
@@ -145,10 +135,11 @@ def path_weight(p: LatticePath, w: WeightSpec) -> LaurentPolynomial:
 
 def enumerate_paths(t: int, y_start: int, L: int, y_end: int | None = None):
     """Yield every length-t strip path from y_start (optionally to y_end)."""
-    if t < 0:
-        raise ValueError(f"path length must be nonnegative, got {t}")
-    if not 0 <= y_start <= L:
-        raise ValueError(f"start height {y_start} outside strip [0, {L}]")
+    _check_size(t, "path length")
+    _check_size(L, "strip height")
+    _check_size(y_start, "start height", 0, L)
+    if y_end is not None:
+        _check_size(y_end, "end height", 0, L)
     steps: list = []
 
     def walk(h: int, remaining: int):
@@ -362,8 +353,7 @@ def viennot_ct(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
 def generating_function(y_start: int, y_end: int, L: int, w: WeightSpec,
                         order: int) -> TruncatedSeries:
     """Truncated series in x whose x^t coefficient is Z_t(y_start, y_end; L)."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    _check_size(order, "series order")
     q = StripQuery(0, y_start, y_end, L)
     _check_strip(L, w, "argument")
     d = q.y_hi - q.y_lo

@@ -1,4 +1,5 @@
-"""Exception types shared by all latpoly modules."""
+"""Exception types shared by all latpoly modules, and the one check that
+every size and index argument goes through."""
 
 from __future__ import annotations
 
@@ -64,3 +65,19 @@ class SchemaError(LatPolyError):
         self.pointer = pointer
         self.message = message
         super().__init__(f"{pointer}: {message}")
+
+
+def _check_size(value, what: str, lo: int = 0, hi: int | None = None,
+                error: type = ValueError) -> int:
+    """The one rule for every size and index argument: an int, not a bool,
+    in [lo, hi] (no upper end when hi is None).  Anything else raises
+    ValueError, except that an int out of range raises ``error`` where a
+    caller documents its own (a cut's CutOutOfRange, a stratum's
+    IndexOutOfRange).  Returns the value."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < lo or (hi is not None and value > hi):
+        bound = (f"in [{lo}, {hi}]" if hi is not None
+                 else "nonnegative" if lo == 0 else f"at least {lo}")
+        raise error(f"{what} must be {bound}, got {value!r}")
+    return value

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .errors import NearBranchPoint, ZeroLambda
+from .errors import NearBranchPoint, ZeroLambda, _check_size
 from .symbolic import SERIES_VAR, LaurentPolynomial, ONE, _whole, as_poly, monomial, sym
 
 _X = sym("x")
@@ -47,8 +47,7 @@ class WeightSpec:
                  "_b", "_b_at", "_lambda", "_lambda_at")
 
     def __new__(cls, L: int, b=0, lam=1, across=None, down=None):
-        if isinstance(L, bool) or not isinstance(L, int) or L < 0:
-            raise ValueError(f"strip height must be a nonnegative integer, got {L!r}")
+        _check_size(L, "strip height")
         return _interned_spec(cls, (
             _coerce_background(b, "background b"),
             _coerce_background(lam, "background lambda"), L,
@@ -60,9 +59,7 @@ class WeightSpec:
         """The nonzero decorations as sorted (height, polynomial) pairs."""
         out = {}
         for height, value in (values or {}).items():
-            if (isinstance(height, bool) or not isinstance(height, int)
-                    or not lo <= height <= hi):
-                raise ValueError(f"{what} height {height!r} is not an integer in [{lo}, {hi}]")
+            _check_size(height, f"{what} height", lo, hi)
             poly = as_poly(value)
             reserved = sorted(poly.symbols() & {"x", SERIES_VAR})
             if reserved:
@@ -100,8 +97,7 @@ class WeightSpec:
         """Move the strip and every decoration j heights down.
 
         Decorations falling below height 0 (1 for down steps) drop off."""
-        if not 0 <= j <= self.strip_height:
-            raise ValueError(f"shift {j} outside [0, {self.strip_height}]")
+        _check_size(j, "shift", 0, self.strip_height)
         across = {h - j: v for h, v in self.across_decorations.items() if h - j >= 0}
         down = {h - j: v for h, v in self.down_decorations.items() if h - j >= 1}
         return WeightSpec(self.strip_height - j, self.background_b,
@@ -131,13 +127,15 @@ class WeightSpec:
                 f"down={{{', '.join(f'{h}: {v}' for h, v in sorted(self.down_decorations.items()))}}})")
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)
 def ortho_poly(k: int, j: int, w: WeightSpec) -> LaurentPolynomial:
     """Order-k shift-j polynomial P_k^(j) of the three-term recurrence for w,
     the only code that runs the recurrence.  The lower orders are filled
-    into the cache bottom-up first, so the stack stays flat at any order."""
-    if k < 0 or j < 0:
-        raise ValueError("order and shift must be nonnegative")
+    into the cache bottom-up first, so the stack stays flat at any order.
+    The cache is typed, so a 2.0 or a True never hits the entry of 2 or 1
+    and is checked."""
+    _check_size(k, "order k")
+    _check_size(j, "shift j")
     if k == 0:
         return ONE
     if k == 1:
@@ -170,8 +168,7 @@ def chebyshev_s(k: int, b=0, lam=1) -> LaurentPolynomial:
     over weights with b and lam at every height.  b and lam may be
     rationals, symbols or symbol names.  Equals ortho_poly(k, j, w) for
     every j when w carries no decorations."""
-    if k < 0:
-        raise ValueError("order must be nonnegative")
+    _check_size(k, "order k")
     b, lam = (sym(v) if isinstance(v, str) else v for v in (b, lam))
     w = WeightSpec(k, 0, 0, across=dict.fromkeys(range(k + 1), b),
                    down=dict.fromkeys(range(1, k + 1), lam))
@@ -214,8 +211,7 @@ def chebyshev_closed_form_check(k: int, x0: float) -> tuple[float, float]:
     of x*x = 4 work.  Used only as a numeric validation pair, never as a
     computation path.
     """
-    if k < 0:
-        raise ValueError("order must be nonnegative")
+    _check_size(k, "order k")
     if abs(x0 * x0 - 4.0) < 1e-6:
         raise NearBranchPoint(f"x0={x0} too close to a branch point")
     exact = chebyshev_s(k).substitute({"x": Fraction(x0)}).as_fraction()

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CutOutOfRange, SizeLimit
+from .errors import CutOutOfRange, SizeLimit, _check_size
 from .symbolic import LaurentPolynomial, ONE, _dot, sym
 from .orthopoly import WeightSpec, ortho_poly
 
@@ -63,6 +63,7 @@ class Paving:
 
 def paving_count(k: int, kind: str = "motzkin") -> int:
     """Number of pavings of order k without enumerating them."""
+    _check_size(k, "order k")
     if kind not in ("motzkin", "ballot"):
         raise ValueError(f"kind must be 'motzkin' or 'ballot', got {kind!r}")
     a, b = 1, 2 if kind == "motzkin" else 1  # orders 0 and 1
@@ -76,8 +77,6 @@ def paving_count(k: int, kind: str = "motzkin") -> int:
 def enumerate_pavings(k: int, kind: str = "motzkin",
                       cap: int = DEFAULT_PAVING_CAP) -> list:
     """All pavings of order k; Ballot pavings exclude monomers."""
-    if k < 0:
-        raise ValueError("order must be nonnegative")
     total = paving_count(k, kind)
     if total > cap:
         raise SizeLimit(f"{total} pavings of order {k} exceed the cap {cap}")
@@ -107,6 +106,7 @@ def enumerate_pavings(k: int, kind: str = "motzkin",
 def paving_polynomial(k: int, j: int, w: WeightSpec,
                       cap: int = DEFAULT_PAVING_CAP) -> LaurentPolynomial:
     """Sum of weighted pavings of order k with shift j; equals ortho_poly."""
+    _check_size(j, "shift j")
     return _dot((1, paving.weight(j, w)) for paving in enumerate_pavings(k, "motzkin", cap))
 
 
@@ -167,8 +167,9 @@ def edge_cut(k: int, j: int, c: int, w: WeightSpec) -> Decomposition:
     Either the edge carries no dimer, giving P_c^(j) * P_{k-c}^(j+c), or it
     carries one, giving -lambda_{c+j} * P_{c-1}^(j) * P_{k-c-1}^(j+c+1).
     """
-    if not 1 <= c <= k - 1:
-        raise CutOutOfRange(f"edge cut needs 1 <= c <= k-1, got c={c}, k={k}")
+    _check_size(k, "order k")
+    _check_size(j, "shift j")
+    _check_size(c, f"edge cut c of order {k}", 1, k - 1, CutOutOfRange)
     return Decomposition(k, j, w, (
         DecompositionTerm(ONE, ((j, c), (j + c, k - c))),
         DecompositionTerm(-w.effective_lambda(c + j),
@@ -183,8 +184,9 @@ def vertex_cut(k: int, j: int, c: int, w: WeightSpec) -> Decomposition:
     (coefficient -lambda_{c+j}).  Terms whose factor order would go negative
     are dropped, matching P_m = 0 for m < 0.
     """
-    if not 0 <= c <= k - 1:
-        raise CutOutOfRange(f"vertex cut needs 0 <= c <= k-1, got c={c}, k={k}")
+    _check_size(k, "order k")
+    _check_size(j, "shift j")
+    _check_size(c, f"vertex cut c of order {k}", 0, k - 1, CutOutOfRange)
     terms = [DecompositionTerm(_X - w.effective_b(c + j),
                                ((j, c), (j + c + 1, k - c - 1)))]
     if k - c - 2 >= 0:
@@ -238,8 +240,8 @@ def decompose(k: int, j: int, w: WeightSpec) -> Decomposition:
     window the result has at most 2**a * 3**b terms and at most a + b + 1
     factors per term; bunched decorations give fewer.
     """
-    if k < 0 or j < 0:
-        raise ValueError("order and shift must be nonnegative")
+    _check_size(k, "order k")
+    _check_size(j, "shift j")
     positions = _decorated_positions(k, j, w)
     if not positions:
         return Decomposition(k, j, w, (DecompositionTerm(ONE, ((j, k),) if k else ()),))

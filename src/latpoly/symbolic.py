@@ -62,6 +62,7 @@ from .errors import (
     NonUnitLeadingCoefficient,
     SizeLimit,
     TruncationInsufficient,
+    _check_size,
 )
 
 #: the single variable allowed negative exponents
@@ -423,8 +424,7 @@ class LaurentPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial power requires a nonnegative integer")
+        _check_size(n, "polynomial power")
         result = ONE
         base = self
         while n:
@@ -871,9 +871,8 @@ def series_invert(d, order: int, var: str = SERIES_VAR) -> TruncatedSeries:
     bounded cache: a higher order extends them, a lower order reads their
     prefix, and every call returns a series of its own.
     """
+    _check_size(order, "series order")
     state = _inverse_state(as_poly(d), var)
-    if order < 0:
-        raise ValueError("series order must be nonnegative")
     coeffs = {k + state.shift: c for k, c in enumerate(state.upto(order))}
     return TruncatedSeries(var, coeffs, order + state.shift)
 
@@ -883,8 +882,10 @@ def _inversion_order(num: LaurentPolynomial, den: LaurentPolynomial,
     """Least order to which ``den`` is inverted so that the coefficient of
     var**exponent of num/den can be read: ``series_invert(den, order, var)``
     is trusted up to order - den's lowest exponent, and multiplying by
-    ``num`` (nonzero) shifts that by num's lowest exponent."""
-    return max(exponent + den.min_exponent(var) - num.min_exponent(var), 0)
+    ``num`` (nonzero) shifts that by num's lowest exponent.  den's lowest
+    exponent is read from its cached ``_unit_split``, which refuses a den
+    that cannot be inverted before anything else reads it."""
+    return max(exponent + _unit_split(den, var)[0] - num.min_exponent(var), 0)
 
 
 def _ratio_coefficient(num, den, e: int, var: str) -> LaurentPolynomial:

@@ -67,6 +67,15 @@ def test_public_api_is_pinned():
         "transfer_matrix", "vertex_cut", "viennot_ct"]
 
 
+def test_exported_caches_are_typed():
+    # an untyped lru_cache hands 2.0 or True the entry of 2 or 1, so a
+    # size check in the cached body never runs for them
+    caches = {name: getattr(latpoly, name) for name in latpoly.__all__
+              if callable(getattr(getattr(latpoly, name), "cache_parameters", None))}
+    assert "ortho_poly" in caches
+    assert [name for name, f in caches.items() if not f.cache_parameters()["typed"]] == []
+
+
 def test_benchmark_tracer_names_exist():
     # perfbench/tracer.py rebinds these names from outside the library, and
     # this suite does not run the benchmark, so a rename would pass here and

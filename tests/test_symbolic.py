@@ -206,6 +206,17 @@ def test_constant_term_ratio_geometric():
     assert constant_term_ratio(num, 1 - RHO) == 2 + 1  # rho^0 and rho^-2 terms
 
 
+def test_a_ratio_over_zero_raises_what_the_inversion_raises():
+    # the inversion order reads the denominator's lowest exponent from its
+    # checked split, so a zero denominator is refused as series_invert
+    # refuses it, not with the bare ValueError of an empty exponent scan
+    for num in (ONE, RHO + RHO_INV):
+        with pytest.raises(NonUnitLeadingCoefficient, match="zero polynomial"):
+            constant_term_ratio(num, ZERO)
+    with pytest.raises(NonUnitLeadingCoefficient, match="zero polynomial"):
+        series_invert(ZERO, 2)
+
+
 # -- substitution -------------------------------------------------------------
 
 def test_substitute_cancellation():
