@@ -419,22 +419,41 @@ _COMMANDS = {
 }
 
 
+# mode -> its subcommand's parser, filled in by _parser()
+_SUBPARSERS: dict = {}
+
+
 @cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call and reused."""
+    """The parser, built on the first call and reused; each subcommand's
+    parser is kept in _SUBPARSERS as it is built."""
     parser = argparse.ArgumentParser(
         prog="latpoly",
         description="Exact strip lattice path weight polynomials.")
     sub = parser.add_subparsers(dest="mode", required=True)
     for mode, (_, help_text, flags) in _COMMANDS.items():
-        p = sub.add_parser(mode, help=help_text)
+        p = _SUBPARSERS[mode] = sub.add_parser(mode, help=help_text)
         for flag in flags.split():
             p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    """Run one command line; returns its exit code.
+
+    A command line that starts with a mode is parsed once, by that mode's
+    own parser; leftover arguments get the top-level parser's error, as
+    a full parse would give them.  Anything else (no arguments, -h, an
+    unknown mode) goes through the top-level parser."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser()
+    if argv and argv[0] in _SUBPARSERS:
+        args, extra = _SUBPARSERS[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(mode=argv[0]))
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    else:
+        args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.mode][0](args)
     except (LatPolyError, ValueError, OSError) as exc:

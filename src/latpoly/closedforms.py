@@ -31,6 +31,7 @@ piece is multiplied out first; a guard is checked on its summed layer.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -247,6 +248,14 @@ def four_weight_sum(p: FourWeightParams) -> LaurentPolynomial:
     when its binomial prefactor vanishes; that is exactly what keeps the
     exponent of (kappa_hat_1 + kappa_hat_2) nonnegative.
 
+    An m layer first lists, in order, every u its pieces can reach at
+    which triple(u) or triple(2r - 1 - u) is nonzero.  Each (v1, v2) then
+    visits only the listed u between u1 and u1 + v1 + v2 and splits each
+    into j1 + j2; the v sums stop where u1 passes the last listed u.  The
+    pieces left out are those whose two triples are both zero, so every
+    layer and every guard diagonal sums exactly what the full ranges give,
+    and the guards are checked as before.
+
     Each binomial triple (one per u, through ``_inner_triple``) and each
     power of kappa_hat_1 + kappa_hat_2, omega_hat_1 + omega_hat_2,
     kappa_hat_2 and omega_hat_2 is built once per call, and each layer
@@ -277,6 +286,10 @@ def four_weight_sum(p: FourWeightParams) -> LaurentPolynomial:
     for m in range(1, m_max + 2):
         pieces, guard = [], []
         v_cap = max(r + 1 - m * (L - 2), -1) + 1  # one guard diagonal
+        # every u a piece of this layer can reach where either triple is nonzero
+        live = [u for u in range(r + m * L + 2 * m + 2 * v_cap + 1)
+                if not (triple(u).is_zero and triple(2 * r - 1 - u).is_zero)]
+        last = live[-1] if live else -1
         for s1 in range(0, m + 1):
             c1_s = binom(m, s1)
             c2_s = binom(m - 1, s1)
@@ -286,33 +299,28 @@ def four_weight_sum(p: FourWeightParams) -> LaurentPolynomial:
                     for i2 in range(0, s2 + 1):
                         sign = -1 if (s1 + s2 + i1 + i2) % 2 else 1
                         base = sign * binom(s1, i1) * b_s2 * binom(s2, i2)
-                        if base == 0:
-                            continue
-                        for v1 in range(0, v_cap + 1):
+                        u0 = r + m * L + s1 + s2 - 2 * i1 - 2 * i2
+                        # u >= u0 + v1 + v2, so past last - u0 no u is live
+                        reach = min(v_cap, last - u0)
+                        for v1 in range(0, reach + 1):
                             c1 = c1_s * binom(v1 + m, m)
                             c2 = c2_s * binom(v1 + m - 1, m - 1)
-                            for v2 in range(0, v_cap - v1 + 1):
-                                b_v2 = binom(v2 + m - 1, m - 1)
-                                if b_v2 == 0:
-                                    continue
-                                u1 = (r + m * L + v1 + v2 + s1 + s2
-                                      - 2 * i1 - 2 * i2)
+                            for v2 in range(0, reach - v1 + 1):
+                                pref_v = base * binom(v2 + m - 1, m - 1)
+                                u1 = u0 + v1 + v2
                                 out = guard if v1 + v2 == v_cap else pieces
-                                for j1 in range(0, v1 + 1):
-                                    bj1 = binom(v1, j1)
-                                    e1 = m + v1 - s1 - j1
-                                    for j2 in range(0, v2 + 1):
-                                        u = u1 + j1 + j2
-                                        piece1 = triple(u)
-                                        piece2 = triple(2 * r - 1 - u)
-                                        if piece1.is_zero and piece2.is_zero:
-                                            continue
-                                        pref = base * bj1 * binom(v2, j2) * b_v2
-                                        if pref == 0:
-                                            continue
+                                for u in live[bisect_left(live, u1):
+                                              bisect_right(live, u1 + v1 + v2)]:
+                                    piece1 = triple(u)
+                                    piece2 = triple(2 * r - 1 - u)
+                                    k = u - u1  # j1 + j2, with j1 <= v1, j2 <= v2
+                                    for j1 in range(max(0, k - v2), min(v1, k) + 1):
+                                        j2 = k - j1
+                                        pref = pref_v * binom(v1, j1) * binom(v2, j2)
+                                        e1 = m + v1 - s1 - j1
                                         common = (kh2[i1 + j1], oh2[i2 + j2],
                                                   oh12[m + v2 - s2 - j2])
-                                        if c1 and not piece1.is_zero:
+                                        if not piece1.is_zero:
                                             out.append((pref * c1, *common,
                                                         kh12[e1], piece1))
                                         if c2 and not piece2.is_zero:

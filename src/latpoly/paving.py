@@ -36,6 +36,7 @@ class Paving:
     pavers: tuple
 
     def weight(self, j: int, w: WeightSpec) -> LaurentPolynomial:
+        _check_size(j, "shift j")
         sign, factors = 1, []
         for kind, pos in self.pavers:
             if kind == "uncovered":

@@ -55,7 +55,7 @@ import re
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 from .errors import (
     NonInvertibleSubstitution,
@@ -661,6 +661,8 @@ class TruncatedSeries:
     __slots__ = ("var", "_coeffs", "truncation_order", "_only")
 
     def __init__(self, var: str, coefficients: dict, truncation_order: int):
+        # a shifted inverse has a negative order, so only the type is checked
+        _check_size(truncation_order, "truncation order", lo=-inf)
         self.var = var
         self._coeffs = {}
         for e, c in coefficients.items():
@@ -671,7 +673,7 @@ class TruncatedSeries:
                 raise ValueError(
                     f"stored exponent {e} beyond truncation order {truncation_order}")
             self._coeffs[int(e)] = c
-        self.truncation_order = int(truncation_order)
+        self.truncation_order = truncation_order
         self._only = None
 
     def coefficients(self) -> dict:

@@ -400,3 +400,83 @@ def test_python_dash_m_runs_the_cli():
     assert (ok.returncode, ok.stdout) == (0, "kappa^2 + kappa*omega\n")
     bad = run(*DMR_2_2, "--engines", "no-such-engine")
     assert bad.returncode == 2 and bad.stderr.startswith("error:")
+
+
+# top-level usage line, shared by every error the top-level parser reports
+_TOP_USAGE = "usage: latpoly [-h] {compute,crosscheck,bench,gf} ...\n"
+
+# (argv, exit code, stdout, stderr) of the command lines that argparse
+# answers itself: help, a missing or unknown mode, an unknown flag, a
+# leftover argument, a missing required flag.  The wording is argparse's
+# own at 80 columns, as Python 3.11 prints it; other versions may word it
+# differently
+ARGPARSE_CALLS = [
+    pytest.param([], 2, "",
+                 _TOP_USAGE + 'latpoly: error: the following arguments are required: mode\n',
+                 id='no arguments'),
+    pytest.param(['-h'], 0, """\
+usage: latpoly [-h] {compute,crosscheck,bench,gf} ...
+
+Exact strip lattice path weight polynomials.
+
+positional arguments:
+  {compute,crosscheck,bench,gf}
+    compute             one query, one engine
+    crosscheck          run several engines and compare
+    bench               time engines over a sweep, emit CSV
+    gf                  truncated generating function
+
+options:
+  -h, --help            show this help message and exit
+""",
+                 "",
+                 id='top-level help'),
+    pytest.param(['nosuch'], 2, "",
+                 _TOP_USAGE + "latpoly: error: argument mode: invalid choice: 'nosuch' "
+                 "(choose from 'compute', 'crosscheck', 'bench', 'gf')\n",
+                 id='unknown mode'),
+    pytest.param(['compute', '-h'], 0, """\
+usage: latpoly compute [-h] [--t T] [--L L] [--y-start Y_START]
+                       [--y-end Y_END] [--weights WEIGHTS]
+                       [--model {dmr,four,rogers}] [--param KEY=VALUE]
+                       [--engines ENGINES] [--format {plain,json,latex}]
+                       [--cap CAP]
+
+options:
+  -h, --help            show this help message and exit
+  --t T                 path length (or maximum)
+  --L L                 strip height
+  --y-start Y_START
+  --y-end Y_END
+  --weights WEIGHTS     weights JSON file
+  --model {dmr,four,rogers}
+  --param KEY=VALUE     model parameter (repeatable)
+  --engines ENGINES     comma separated engine list
+  --format {plain,json,latex}
+  --cap CAP             brute force enumeration cap on t
+""",
+                 "",
+                 id='subcommand help'),
+    pytest.param(['compute', '--bogus'], 2, "",
+                 _TOP_USAGE + 'latpoly: error: unrecognized arguments: --bogus\n',
+                 id='unknown flag'),
+    pytest.param(['gf', '--L', '1', 'extra'], 2, "",
+                 _TOP_USAGE + 'latpoly: error: unrecognized arguments: extra\n',
+                 id='leftover argument'),
+    pytest.param(['bench'], 2, "", """\
+usage: latpoly bench [-h] [--t T] [--L L] [--y-start Y_START] [--y-end Y_END]
+                     [--weights WEIGHTS] [--model {dmr,four,rogers}]
+                     [--param KEY=VALUE] [--engines ENGINES] [--cap CAP]
+                     --sweep VAR:LO:HI
+latpoly bench: error: the following arguments are required: --sweep
+""",
+                 id='missing required flag'),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout, stderr", ARGPARSE_CALLS)
+def test_argparse_answers_are_pinned(argv, code, stdout, stderr, monkeypatch, capsys):
+    # a mode's own parser reads the command line; what argparse prints for
+    # help and refusals stays what one parse by the top-level parser printed
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _exit_code(argv, capsys) == (code, stdout, stderr)

@@ -278,6 +278,15 @@ def test_four_weight_triple_equality_small():
             assert ct == sm == bf, (r, L)
 
 
+def test_four_weight_sum_equals_ct_beyond_the_small_cases():
+    # past the small cases the sum has up to five m layers, and its walk
+    # over the u where a triple is nonzero skips the most
+    for L in range(4, 9):
+        for r in range(0, 9):
+            p = FourWeightParams(r, L)
+            assert four_weight_sum(p) == four_weight_ct(p), (r, L)
+
+
 def test_four_weight_sum_equals_ct_mixed_decorations():
     names = ["kappa_1", "kappa_2", "omega_1", "omega_2"]
     for case, (L, r) in enumerate((L, r) for L in (4, 5, 6) for r in range(0, 7)):

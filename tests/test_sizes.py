@@ -22,6 +22,7 @@ from latpoly import (
     RogersParams,
     SchemaError,
     StripQuery,
+    TruncatedSeries,
     WeightSpec,
     chebyshev_closed_form_check,
     chebyshev_s,
@@ -70,6 +71,7 @@ ENTRY_POINTS = {
     "enumerate_pavings.k": lambda v: enumerate_pavings(v),
     "paving_polynomial.k": lambda v: paving_polynomial(v, 0, W),
     "paving_polynomial.j": lambda v: paving_polynomial(2, v, W),
+    "Paving.weight.j": lambda v: enumerate_pavings(2)[1].weight(v, W),
     "decompose.k": lambda v: decompose(v, 0, W),
     "decompose.j": lambda v: decompose(2, v, W),
     "edge_cut.k": lambda v: edge_cut(v, 0, 1, W),
@@ -132,3 +134,11 @@ def test_a_cached_order_lets_no_float_or_bool_through():
     for k, j in [(2.0, 0), (True, 0), (2, 0.0), (2, False)]:
         with pytest.raises(ValueError, match="must be an integer"):
             ortho_poly(k, j, W)
+
+
+def test_a_series_order_is_an_int_of_either_sign():
+    # a shifted inverse has a negative order, so only the type is refused
+    assert TruncatedSeries("x", {-3: 1}, -1).truncation_order == -1
+    for order in (2.7, 2.0, True):
+        with pytest.raises(ValueError, match=f"must be an integer, got {order!r}"):
+            TruncatedSeries("x", {0: 1}, order)

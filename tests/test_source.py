@@ -47,6 +47,16 @@ def test_library_modules_read_every_name_they_import():
     assert dead == []
 
 
+def test_library_reads_no_private_argparse_name():
+    # the CLI parses a mode's command line through public argparse calls
+    # only, so an argparse release that renames its internals cannot break it
+    private = ("_SubParsersAction", "_actions", "_option_string_actions",
+               "_UNRECOGNIZED_ARGS_ATTR")
+    found = [f"{path.name}: {name}" for path in SOURCES for name in private
+             if name in path.read_text()]
+    assert found == []
+
+
 def test_public_api_is_pinned():
     # the public API is latpoly.__all__: adding or removing a name edits
     # this list and is recorded in CHANGES.md; submodules are not in it
