@@ -2,9 +2,9 @@
 
 Weights come either from a JSON document (see parse_weights) or from a
 named model (dmr, four, rogers) with --param key=value arguments.  All
-values are exact: rationals as p/q strings, decorations as polynomial
-expressions over freely named symbols.  Exit codes: 0 success or
-agreement, 1 engine disagreement, 2 invalid input.
+values are exact; a value written as text (a rational, a decoration, a
+--param value, a --sweep bound) is read by parse_polynomial alone.  Exit
+codes: 0 success or agreement, 1 engine disagreement, 2 invalid input.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import cache
 from math import inf
 
 from .errors import LatPolyError, SchemaError, _check_size
-from .symbolic import LaurentPolynomial, _whole, as_poly, parse_polynomial, sym
+from .symbolic import LaurentPolynomial, _exact, _whole, as_poly, parse_polynomial, sym
 from .orthopoly import WeightSpec
 from .engines import (
     DEFAULT_BRUTE_CAP,
@@ -36,24 +36,7 @@ from .closedforms import DmrParams, FourWeightParams, RogersParams
 
 # -- weights JSON -------------------------------------------------------------
 
-def _parse_rational(value, pointer: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise SchemaError(pointer, f"exact rational required, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(pointer, f"bad rational {value!r}: {exc}") from None
-    raise SchemaError(pointer, f"exact rational required, got {type(value).__name__}")
-
-
 def _parse_decoration(value, pointer: str) -> LaurentPolynomial:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise SchemaError(pointer, f"exact value required, got {value!r}")
-    if isinstance(value, int):
-        return as_poly(value)
     if isinstance(value, str):
         try:
             return parse_polynomial(value)
@@ -72,7 +55,16 @@ def _parse_decoration(value, pointer: str) -> LaurentPolynomial:
             return sym(value["sym"]) + shift
         except ValueError as exc:
             raise SchemaError(f"{pointer}/sym", str(exc)) from None
-    raise SchemaError(pointer, f"cannot interpret {type(value).__name__} as a decoration")
+    if not _exact(value):
+        raise SchemaError(pointer, f"exact value required, got {value!r}")
+    return as_poly(value)
+
+
+def _parse_rational(value, pointer: str) -> Fraction:
+    poly = _parse_decoration(value, pointer)
+    if not poly.is_rational:
+        raise SchemaError(pointer, f"exact rational required, got {value!r}")
+    return poly.as_fraction()
 
 
 def _parse_decoration_map(doc, key: str) -> dict:
@@ -84,8 +76,8 @@ def _parse_decoration_map(doc, key: str) -> dict:
     out = {}
     for height, value in raw.items():
         pointer = f"/{key}/{height}"
-        if not isinstance(height, str) or not height.isdigit():
-            raise SchemaError(pointer, f"height keys are decimal strings, got {height!r}")
+        if not (height.isascii() and height.isdigit()) or height != str(int(height)):
+            raise SchemaError(pointer, f"height keys are canonical decimals, got {height!r}")
         out[int(height)] = _parse_decoration(value, pointer)
     return out
 
@@ -96,8 +88,10 @@ def parse_weights(text: str) -> WeightSpec:
     Schema: {"b": rational, "lambda": rational, "L": int,
              "across_decorations": {height: expr},
              "down_decorations": {height: expr}}
-    Rationals are ints or "p/q" strings; expressions are exact polynomial
-    strings (or {"sym": name, "shift": int}).  Floats are rejected.
+    Heights are canonical decimals ("0", "12", no leading zero).
+    Rationals are ints or texts of rational constants, expressions ints,
+    texts or {"sym": name, "shift": int}; every text is read by
+    parse_polynomial, and floats are rejected.
     """
     try:
         doc = json.loads(text)
@@ -149,14 +143,12 @@ _MODELS = {"dmr": DmrParams, "four": FourWeightParams, "rogers": RogersParams}
 
 
 def _param_value(text: str):
-    """A model parameter: integer, rational, 'inf', or a symbol expression."""
+    """A model parameter: 'inf' or a polynomial expression, a constant one
+    as its int or Fraction."""
     if text == "inf":
         return inf
-    try:
-        frac = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        return parse_polynomial(text)
-    return _whole(frac)
+    poly = parse_polynomial(text)
+    return _whole(poly.as_fraction()) if poly.is_rational else poly
 
 
 def _model_params(name: str, pairs) -> dict:
@@ -354,7 +346,8 @@ def _parse_sweep(text: str):
     parts = text.split(":")
     if len(parts) != 3 or parts[0] not in ("t", "L", "r", "n"):
         raise ValueError("sweep must be var:lo:hi with var in t, L, r, n")
-    var, lo, hi = parts[0], int(parts[1]), int(parts[2])
+    var = parts[0]
+    lo, hi = (_check_size(_param_value(p), f"sweep {var} bound", lo=-inf) for p in parts[1:])
     if lo > hi:
         raise ValueError("sweep range is empty")
     return var, range(lo, hi + 1)

@@ -40,7 +40,8 @@ from math import comb, inf
 from .engines import StripQuery, cheb_ct
 from .errors import (GuardViolation, IndexOutOfRange, InsufficientWeights, SizeLimit,
                      _check_size)
-from .symbolic import LaurentPolynomial, ONE, ZERO, _Powers, _dot, as_poly, sym
+from .symbolic import (LaurentPolynomial, ONE, ZERO, _Powers, _dot, as_poly,
+                       parse_polynomial, sym)
 from .orthopoly import WeightSpec
 
 _KH = sym("kappa_hat")
@@ -79,13 +80,11 @@ def _last_m_layer(r: int, width: int) -> int:
 
 
 def _coerce_value(value) -> LaurentPolynomial:
-    if isinstance(value, str):
-        return sym(value)
     try:
-        return as_poly(value)
+        return parse_polynomial(value) if isinstance(value, str) else as_poly(value)
     except TypeError:
         raise ValueError("a weight must be an integer, a Fraction, a polynomial"
-                         f" or a symbol name, got {value!r}") from None
+                         f" or its text, got {value!r}") from None
 
 
 @dataclass(frozen=True)

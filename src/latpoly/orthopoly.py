@@ -16,13 +16,14 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import NearBranchPoint, ZeroLambda, _check_size
-from .symbolic import SERIES_VAR, LaurentPolynomial, ONE, _whole, as_poly, monomial, sym
+from .symbolic import (SERIES_VAR, LaurentPolynomial, ONE, _exact, _whole, as_poly, monomial,
+                       parse_polynomial, sym)
 
 _X = sym("x")
 
 
 def _coerce_background(value, what: str) -> int | Fraction:
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+    if not _exact(value):
         raise TypeError(f"{what} must be an exact rational, got {value!r}")
     return _whole(value)
 
@@ -166,10 +167,10 @@ def _interned_spec(cls, key: tuple) -> WeightSpec:
 def chebyshev_s(k: int, b=0, lam=1) -> LaurentPolynomial:
     """Constant-weight solution S_k of the recurrence: ortho_poly(k, 0, .)
     over weights with b and lam at every height.  b and lam may be
-    rationals, symbols or symbol names.  Equals ortho_poly(k, j, w) for
-    every j when w carries no decorations."""
+    rationals, polynomials or their text (read by parse_polynomial).
+    Equals ortho_poly(k, j, w) for every j when w carries no decorations."""
     _check_size(k, "order k")
-    b, lam = (sym(v) if isinstance(v, str) else v for v in (b, lam))
+    b, lam = (parse_polynomial(v) if isinstance(v, str) else v for v in (b, lam))
     w = WeightSpec(k, 0, 0, across=dict.fromkeys(range(k + 1), b),
                    down=dict.fromkeys(range(1, k + 1), lam))
     return ortho_poly(k, 0, w)

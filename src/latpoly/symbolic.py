@@ -666,13 +666,14 @@ class TruncatedSeries:
         self.var = var
         self._coeffs = {}
         for e, c in coefficients.items():
+            _check_size(e, "exponent", lo=-inf)
             c = as_poly(c)
             if c.is_zero:
                 continue
             if e > truncation_order:
                 raise ValueError(
                     f"stored exponent {e} beyond truncation order {truncation_order}")
-            self._coeffs[int(e)] = c
+            self._coeffs[e] = c
         self.truncation_order = truncation_order
         self._only = None
 
@@ -692,7 +693,7 @@ class TruncatedSeries:
 
     def coefficient(self, exponent: int) -> LaurentPolynomial:
         """Coefficient of var**exponent; beyond the trusted order is an error."""
-        if exponent > self.truncation_order:
+        if _check_size(exponent, "exponent", lo=-inf) > self.truncation_order:
             raise TruncationInsufficient(
                 f"exponent {exponent} beyond truncation order {self.truncation_order}")
         self._check_known(exponent)
@@ -715,7 +716,7 @@ class TruncatedSeries:
         coeffs = self._coeffs
         if exponent is None:
             reached = {se + pe for pe in parts for se in coeffs if se + pe <= order}
-        elif exponent > order:
+        elif _check_size(exponent, "exponent", lo=-inf) > order:
             raise TruncationInsufficient(
                 f"exponent {exponent} beyond truncation order {order}")
         else:
@@ -909,7 +910,7 @@ def constant_term_ratio(num, den) -> LaurentPolynomial:
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<float>\d+\.\d*|\.\d+)|(?P<number>\d+(?:/\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>\*\*|[-+*^()]))")
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>\*\*|[-+*^()]))", re.ASCII)
 
 
 def _tokenize(text: str):

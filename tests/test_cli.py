@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from latpoly import (DmrParams, FourWeightParams, RogersParams, SchemaError,
-                     as_poly, sym)
+                     as_poly, chebyshev_s, sym)
 from latpoly.cli import _parser, main, parse_weights, weights_to_json
 
 DMR_JSON = json.dumps({
@@ -190,6 +190,13 @@ def test_parse_weights_schema_errors():
     assert "height" in str(exc.value)
     with pytest.raises(SchemaError):
         parse_weights(json.dumps({"b": 0, "lambda": 1, "L": 2, "zzz": 1}))
+    # a height key is a canonical ASCII decimal: "01" would overwrite "1",
+    # "\u00b2" (superscript two) and "\u0661" (Arabic-Indic one) pass isdigit
+    for key in ("01", "\u00b2", "\u0661"):
+        with pytest.raises(SchemaError) as exc:
+            parse_weights(json.dumps({"b": 0, "lambda": 1, "L": 2,
+                                      "down_decorations": {"1": "a", key: "b"}}))
+        assert exc.value.pointer == f"/down_decorations/{key}"
     with pytest.raises(SchemaError):
         parse_weights("not json")
     for text in ("[" * 100_000, "{\"b\": " + "[" * 100_000):
@@ -276,6 +283,16 @@ DMR_2_2 = ["compute", "--model", "dmr", "--param", "r=2", "--param", "L=2"]
     (["crosscheck", "--model", "dmr", "--param", "r=2", "--param", "L=3",
       "--param", "kappa=rho"], "names 'rho'"),
     (["compute", "--weights", "reserved.json"], "names 'rho'"),
+    # a value written as text has one reader, parse_polynomial's grammar
+    (["compute", "--model", "dmr", "--param", "r=2.0", "--param", "L=3"],
+     "floating literal '2.0' not allowed"),
+    (["compute", "--model", "dmr", "--param", "r=2", "--param", "L=1e0"],
+     "expected end near token 'e0'"),
+    (DMR_2_2 + ["--param", "kappa=1.5"], "floating literal '1.5' not allowed"),
+    (["bench", "--sweep", "t:1_0:11", "--L", "1"], "expected end near token '_0'"),
+    (["bench", "--sweep", "t:\u0663:4", "--L", "1"], "unexpected character"),
+    (["bench", "--sweep", "t:a:4", "--L", "1"], "sweep t bound must be an integer"),
+    (["compute", "--weights", "decimal.json"], "/b: floating literal '1.5' not allowed"),
 ])
 def test_invalid_input_one_line_error_exit_2(args, message, tmp_path, monkeypatch, capsys):
     (tmp_path / "w.json").write_text(DMR_JSON)
@@ -284,6 +301,7 @@ def test_invalid_input_one_line_error_exit_2(args, message, tmp_path, monkeypatc
         {"b": 0, "lambda": 1, "L": 1, "down_decorations": {"1": "1/0"}}))
     (tmp_path / "reserved.json").write_text(json.dumps(
         {"b": 0, "lambda": 1, "L": 1, "across_decorations": {"0": "2*rho"}}))
+    (tmp_path / "decimal.json").write_text(json.dumps({"b": "1.5", "lambda": 1, "L": 1}))
     monkeypatch.chdir(tmp_path)
     code, out, err = _exit_code(args, capsys)
     assert (code, out) == (2, "")
@@ -347,9 +365,18 @@ def test_flags_a_subcommand_does_not_read_are_refused(args, capsys):
 def test_params_classes_refuse_what_the_cli_refuses():
     for make in (lambda: DmrParams(L=2), lambda: DmrParams(2.0, 2),
                  lambda: FourWeightParams(2, True), lambda: RogersParams(),
-                 lambda: RogersParams(3, "2"), lambda: DmrParams(2, 2, kappa=None)):
+                 lambda: RogersParams(3, "2"), lambda: DmrParams(2, 2, kappa=None),
+                 lambda: DmrParams(2, 2, kappa="1.5")):
         with pytest.raises(ValueError):
             make()
+
+
+def test_library_reads_a_weight_text_as_the_cli_does():
+    # a weight given as text is parsed by the CLI's grammar, not taken as
+    # one symbol name
+    assert (DmrParams(2, 3, kappa="2*k").closed_sum()
+            == DmrParams(2, 3, kappa=2 * sym("k")).closed_sum())
+    assert chebyshev_s(2, "b+1") == chebyshev_s(2, sym("b") + 1)
 
 
 def test_crosscheck_grid_heights(capsys):

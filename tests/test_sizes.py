@@ -10,6 +10,8 @@ for a stratum).  None may return a result or raise a bare TypeError.
 from __future__ import annotations
 
 import json
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -142,3 +144,17 @@ def test_a_series_order_is_an_int_of_either_sign():
     for order in (2.7, 2.0, True):
         with pytest.raises(ValueError, match=f"must be an integer, got {order!r}"):
             TruncatedSeries("x", {0: 1}, order)
+
+
+def test_a_series_exponent_is_an_int_of_either_sign():
+    # a stored exponent, and the one coefficient reads or mul_poly keeps,
+    # is an int of either sign, as the order is
+    inv = series_invert(1 - sym("x"), 3, "x")
+    assert TruncatedSeries("x", {-3: 1}, -1).coefficient(-3) == 1
+    for e in (2.5, Fraction(3, 2), 2.0, True):
+        with pytest.raises(ValueError, match=re.escape(f"exponent must be an integer, got {e!r}")):
+            TruncatedSeries("x", {e: 1}, 3)
+        with pytest.raises(ValueError, match="exponent must be an integer"):
+            inv.coefficient(e)
+        with pytest.raises(ValueError, match="exponent must be an integer"):
+            inv.mul_poly(sym("x"), e)

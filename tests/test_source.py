@@ -25,6 +25,17 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_cli_reads_no_number_with_fraction():
+    # a value written as text is read by parse_polynomial alone; a second
+    # reader (Fraction("1.5") is 3/2, the grammar refuses it) would split
+    # the rule
+    path = SOURCES[0].with_name("cli.py")
+    found = [node.lineno for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "Fraction"]
+    assert found == []
+
+
 def test_library_modules_read_every_name_they_import():
     # a deleted use leaves its import behind; __init__.py imports to export
     dead = []
