@@ -19,8 +19,8 @@ from functools import cache
 from math import inf
 
 from .errors import LatPolyError, SchemaError, _check_size
-from .symbolic import LaurentPolynomial, _exact, _whole, as_poly, parse_polynomial, sym
-from .orthopoly import WeightSpec
+from .symbolic import LaurentPolynomial, _whole, parse_polynomial, sym
+from .orthopoly import WeightSpec, _weight
 from .engines import (
     DEFAULT_BRUTE_CAP,
     StripQuery,
@@ -37,11 +37,6 @@ from .closedforms import DmrParams, FourWeightParams, RogersParams
 # -- weights JSON -------------------------------------------------------------
 
 def _parse_decoration(value, pointer: str) -> LaurentPolynomial:
-    if isinstance(value, str):
-        try:
-            return parse_polynomial(value)
-        except ValueError as exc:
-            raise SchemaError(pointer, str(exc)) from None
     if isinstance(value, dict):
         extra = set(value) - {"sym", "shift"}
         if extra:
@@ -52,12 +47,13 @@ def _parse_decoration(value, pointer: str) -> LaurentPolynomial:
         if isinstance(shift, bool) or not isinstance(shift, int):
             raise SchemaError(f"{pointer}/shift", "integer required")
         try:
-            return sym(value["sym"]) + shift
-        except ValueError as exc:
+            value = sym(value["sym"]) + shift
+        except (TypeError, ValueError) as exc:  # a name that is not a str, or not a name
             raise SchemaError(f"{pointer}/sym", str(exc)) from None
-    if not _exact(value):
-        raise SchemaError(pointer, f"exact value required, got {value!r}")
-    return as_poly(value)
+    try:
+        return _weight(value, "the value")
+    except ValueError as exc:
+        raise SchemaError(pointer, str(exc)) from None
 
 
 def _parse_rational(value, pointer: str) -> Fraction:
@@ -67,7 +63,7 @@ def _parse_rational(value, pointer: str) -> Fraction:
     return poly.as_fraction()
 
 
-def _parse_decoration_map(doc, key: str) -> dict:
+def _parse_decoration_map(doc, key: str, lo: int, L: int) -> dict:
     raw = doc.get(key)
     if raw is None:
         return {}
@@ -76,8 +72,10 @@ def _parse_decoration_map(doc, key: str) -> dict:
     out = {}
     for height, value in raw.items():
         pointer = f"/{key}/{height}"
-        if not (height.isascii() and height.isdigit()) or height != str(int(height)):
+        if not (height.isascii() and height.isdigit()) or (height[0] == "0" and height != "0"):
             raise SchemaError(pointer, f"height keys are canonical decimals, got {height!r}")
+        if len(height) > len(str(L)) or not lo <= int(height) <= L:  # no int() of a long key
+            raise SchemaError(pointer, f"height must be in [{lo}, {L}]")
         out[int(height)] = _parse_decoration(value, pointer)
     return out
 
@@ -114,12 +112,9 @@ def parse_weights(text: str) -> WeightSpec:
         raise SchemaError("/L", str(exc)) from None
     b = _parse_rational(doc["b"], "/b")
     lam = _parse_rational(doc["lambda"], "/lambda")
-    across = _parse_decoration_map(doc, "across_decorations")
-    down = _parse_decoration_map(doc, "down_decorations")
-    try:
-        return WeightSpec(doc["L"], b, lam, across, down)
-    except (ValueError, LatPolyError) as exc:
-        raise SchemaError("", str(exc)) from None
+    across = _parse_decoration_map(doc, "across_decorations", 0, doc["L"])
+    down = _parse_decoration_map(doc, "down_decorations", 1, doc["L"])
+    return WeightSpec(doc["L"], b, lam, across, down)  # every part is checked
 
 
 def weights_to_json(w: WeightSpec) -> dict:

@@ -40,9 +40,8 @@ from math import comb, inf
 from .engines import StripQuery, cheb_ct
 from .errors import (GuardViolation, IndexOutOfRange, InsufficientWeights, SizeLimit,
                      _check_size)
-from .symbolic import (LaurentPolynomial, ONE, ZERO, _Powers, _dot, as_poly,
-                       parse_polynomial, sym)
-from .orthopoly import WeightSpec
+from .symbolic import LaurentPolynomial, ONE, ZERO, _Powers, _dot, sym
+from .orthopoly import WeightSpec, _weight
 
 _KH = sym("kappa_hat")
 _OH = sym("omega_hat")
@@ -79,14 +78,6 @@ def _last_m_layer(r: int, width: int) -> int:
     return (r + 1) // width
 
 
-def _coerce_value(value) -> LaurentPolynomial:
-    try:
-        return parse_polynomial(value) if isinstance(value, str) else as_poly(value)
-    except TypeError:
-        raise ValueError("a weight must be an integer, a Fraction, a polynomial"
-                         f" or its text, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class DmrParams:
     """Dyck paths of length 2r in a strip of height L >= 2, with the down
@@ -100,8 +91,8 @@ class DmrParams:
     def __post_init__(self):
         _check_size(self.r, "half-length r")
         _check_size(self.L, "strip height L", 2)
-        object.__setattr__(self, "kappa", _coerce_value(self.kappa))
-        object.__setattr__(self, "omega", _coerce_value(self.omega))
+        object.__setattr__(self, "kappa", _weight(self.kappa, "kappa"))
+        object.__setattr__(self, "omega", _weight(self.omega, "omega"))
 
     def weight_spec(self) -> WeightSpec:
         return self._spec
@@ -134,7 +125,7 @@ class FourWeightParams:
         _check_size(self.r, "half-length r")
         _check_size(self.L, "strip height L", 4)
         for name in ("kappa1", "kappa2", "omega1", "omega2"):
-            object.__setattr__(self, name, _coerce_value(getattr(self, name)))
+            object.__setattr__(self, name, _weight(getattr(self, name), name))
 
     def weight_spec(self) -> WeightSpec:
         return self._spec
@@ -192,9 +183,7 @@ def dmr_sum(p: DmrParams) -> LaurentPolynomial:
         for s1 in range(0, m + 1):
             for s2 in range(0, m + 1):
                 sign = -1 if (s1 + s2) % 2 else 1
-                pref = (sign * binom(m, s1) * binom(m, s2))
-                if pref == 0:
-                    continue
+                pref = sign * binom(m, s1) * binom(m, s2)  # nonzero: s1, s2 <= m
                 p_bound = r + 1 + s1 + s2 - (L + 2) * m  # support of p1 + p2
                 p_cap = max(p_bound, -1) + 1  # one guard diagonal
                 for p1 in range(0, p_cap + 1):
@@ -337,8 +326,18 @@ def four_weight_sum(p: FourWeightParams) -> LaurentPolynomial:
          "omega_hat_1": p.omega1 - 1, "omega_hat_2": p.omega2 - 1})
 
 
-def _coerce_kappas(kappas) -> list:
-    return [_coerce_value(k) for k in kappas]
+def _needed(n: int, L) -> int:
+    """The down weights a Rogers model reads: min(n, L), n if L is None."""
+    return n if L is None else min(n, L)
+
+
+def _kappa_weights(kappas, n: int = 0, L=None) -> list:
+    """The kappas, each read by _weight; fewer than the Rogers model of
+    half-length n and strip height L reads are refused."""
+    kappas, needed = [_weight(k, "kappa") for k in kappas], _needed(n, L)
+    if len(kappas) < needed:
+        raise InsufficientWeights(f"need {needed} down weights, got {len(kappas)}")
+    return kappas
 
 
 def stratified_weight(n: int, l: int, kappas) -> LaurentPolynomial:
@@ -353,16 +352,14 @@ def stratified_weight(n: int, l: int, kappas) -> LaurentPolynomial:
 
     (j_0 = n, j_{l+1} = 0).  The chain records how many down steps fall
     from each height; the binomial counts the interleavings of the level
-    k+2 excursions among the level k+1 arches.
+    k+2 excursions among the level k+1 arches.  It needs the kappas of the
+    strip of height l + 1, min(n, l + 1).
     """
     _check_size(n, "half-length n")
     _check_size(l, "stratum index l", error=IndexOutOfRange)
+    kappas = _kappa_weights(kappas, n, l + 1)
     if l >= n:
         return ZERO  # a length-2n Dyck path cannot reach height n + 1
-    kappas = _coerce_kappas(kappas)
-    if len(kappas) < l + 1:
-        raise InsufficientWeights(
-            f"stratum {l} needs {l + 1} down weights, got {len(kappas)}")
     return _strata(n, range(l, l + 1), [_Powers(k) for k in kappas[:l + 1]])
 
 
@@ -398,26 +395,21 @@ def _strata(n: int, levels: range, powers: list) -> LaurentPolynomial:
 def rogers(n: int, L, kappas) -> LaurentPolynomial:
     """Weight polynomial of all length-2n Dyck paths in a strip of height L
     (L may be None or infinity for the half plane), as the sum of the
-    maximum-height strata.  Needs min(n, L) down weights.  The kappas are
-    coerced once, and one walk over the chains serves every stratum."""
+    maximum-height strata.  Needs min(n, L) down weights (n for the half
+    plane), and one walk over the chains serves every stratum."""
     _check_size(n, "half-length n")
-    if L is None or L == inf:
-        l_max = n - 1
-    else:
+    if L is not None and L != inf:  # min(n, inf) is n, as for None
         _check_size(L, "strip height L")
-        l_max = min(n - 1, L - 1)  # empty for L = 0: no room to move
+    kappas = _kappa_weights(kappas, n, L)
     if n == 0:
         return ONE  # the empty path, below any stratum
-    kappas = _coerce_kappas(kappas)
-    if len(kappas) < l_max + 1:
-        raise InsufficientWeights(
-            f"need {l_max + 1} down weights, got {len(kappas)}")
-    return _strata(n, range(l_max + 1), [_Powers(k) for k in kappas])
+    return _strata(n, range(_needed(n, L)), [_Powers(k) for k in kappas])  # none for L = 0
 
 
 def rogers_weight_spec(L: int, kappas) -> WeightSpec:
-    """Strip weights matching :func:`rogers`: down weight kappa_i at height i."""
-    kappas = _coerce_kappas(kappas)[:_check_size(L, "strip height L")]
+    """Strip weights matching :func:`rogers`: down weight kappa_i at height i
+    (1 above the last kappa)."""
+    kappas = _kappa_weights(kappas)[:_check_size(L, "strip height L")]
     return WeightSpec(L, 0, 1, down={i: k - 1 for i, k in enumerate(kappas, 1)})
 
 
@@ -425,8 +417,9 @@ def rogers_weight_spec(L: int, kappas) -> WeightSpec:
 class RogersParams:
     """Dyck paths of length 2n in a strip of height L (None or infinity for
     the half plane), with down weight kappas[i-1] at height i (background
-    b=0, lambda=1).  Without kappas the weights are the symbols
-    kappa_1..kappa_min(n, L), worked out from n and L when they are used."""
+    b=0, lambda=1): kappa_1..kappa_min(n, L), n for the half plane; fewer
+    raise InsufficientWeights.  Without kappas they are those symbols,
+    worked out from n and L when they are used."""
     n: int = None
     L: int | None = None
     kappas: tuple | None = None
@@ -438,13 +431,12 @@ class RogersParams:
         if self.L is not None:
             _check_size(self.L, "strip height L")
         if self.kappas is not None:
-            object.__setattr__(self, "kappas", tuple(_coerce_kappas(self.kappas)))
+            object.__setattr__(self, "kappas", tuple(_kappa_weights(self.kappas, self.n, self.L)))
 
     def _kappas(self) -> list:
         if self.kappas is not None:
             return list(self.kappas)
-        bound = self.n if self.L is None else min(self.n, self.L)
-        return [sym(f"kappa_{i}") for i in range(1, max(bound, 1) + 1)]
+        return [sym(f"kappa_{i}") for i in range(1, max(_needed(self.n, self.L), 1) + 1)]
 
     def weight_spec(self) -> WeightSpec:
         return self._spec

@@ -28,6 +28,22 @@ def _coerce_background(value, what: str) -> int | Fraction:
     return _whole(value)
 
 
+def _weight(value, what: str) -> LaurentPolynomial:
+    """The one rule that turns a weight into a polynomial: an int, a Fraction,
+    a polynomial or its text (read by parse_polynomial) that names neither
+    ``x`` nor ``rho``, the engines' own variables; else ValueError."""
+    try:
+        poly = parse_polynomial(value) if isinstance(value, str) else as_poly(value)
+    except TypeError:  # as_poly's refusal of anything but an exact value
+        raise ValueError("a weight must be an integer, a Fraction, a polynomial"
+                         f" or its text; {what} is {value!r}") from None
+    reserved = poly._bound and sorted(poly.symbols() & {"x", SERIES_VAR})  # 0: a constant
+    if reserved:
+        raise ValueError(f"{what} names {reserved[0]!r}, "
+                         "a variable the engines reserve for themselves")
+    return poly
+
+
 class WeightSpec:
     """Strip weights: rational backgrounds plus decorations on heights.
 
@@ -35,12 +51,12 @@ class WeightSpec:
     with the background value alone at undecorated heights.  Down
     decorations live on heights 1..L, across decorations on 0..L.  Any
     weight may be zero: a zero lambda_i is a wall that no path steps down
-    through.  A decoration may not name ``x`` or ``rho``, the engines' own
-    variables.  A spec is immutable and its decorations are read-only
-    mappings.  Equal specs compare and hash by value, and a bounded cache
-    hands every caller the one spec built for a value, so an engine cache
-    keyed by a spec hits by identity; each effective weight is computed
-    once, when that spec is built.
+    through.  Each decoration is read by :func:`_weight`, so it may be text
+    and may not name ``x`` or ``rho``.  A spec is immutable and its
+    decorations are read-only mappings.  Equal specs compare and hash by
+    value, and a bounded cache hands every caller the one spec built for a
+    value, so an engine cache keyed by a spec hits by identity; each
+    effective weight is computed once, when that spec is built.
     """
 
     __slots__ = ("strip_height", "background_b", "background_lambda",
@@ -61,11 +77,7 @@ class WeightSpec:
         out = {}
         for height, value in (values or {}).items():
             _check_size(height, f"{what} height", lo, hi)
-            poly = as_poly(value)
-            reserved = sorted(poly.symbols() & {"x", SERIES_VAR})
-            if reserved:
-                raise ValueError(f"{what} at height {height} names {reserved[0]!r}, "
-                                 "a variable the engines reserve for themselves")
+            poly = _weight(value, f"{what} at height {height}")
             if not poly.is_zero:
                 out[height] = poly
         return tuple(sorted(out.items()))
@@ -166,11 +178,10 @@ def _interned_spec(cls, key: tuple) -> WeightSpec:
 
 def chebyshev_s(k: int, b=0, lam=1) -> LaurentPolynomial:
     """Constant-weight solution S_k of the recurrence: ortho_poly(k, 0, .)
-    over weights with b and lam at every height.  b and lam may be
-    rationals, polynomials or their text (read by parse_polynomial).
-    Equals ortho_poly(k, j, w) for every j when w carries no decorations."""
+    over weights with b and lam at every height, read as a WeightSpec reads
+    a decoration (text included).  Equals ortho_poly(k, j, w) for every j
+    when w carries no decorations."""
     _check_size(k, "order k")
-    b, lam = (parse_polynomial(v) if isinstance(v, str) else v for v in (b, lam))
     w = WeightSpec(k, 0, 0, across=dict.fromkeys(range(k + 1), b),
                    down=dict.fromkeys(range(1, k + 1), lam))
     return ortho_poly(k, 0, w)

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from latpoly import (DmrParams, FourWeightParams, RogersParams, SchemaError,
-                     as_poly, chebyshev_s, sym)
+from latpoly import (DmrParams, FourWeightParams, RogersParams, SchemaError, WeightSpec,
+                     as_poly, chebyshev_s, rogers, rogers_weight_spec, stratified_weight, sym)
 from latpoly.cli import _parser, main, parse_weights, weights_to_json
 
 DMR_JSON = json.dumps({
@@ -207,6 +207,32 @@ def test_parse_weights_schema_errors():
     with pytest.raises(SchemaError, match="nested too deeply") as exc:
         parse_weights(json.dumps(doc))
     assert exc.value.pointer == "/down_decorations/1"
+    # (document change, pointer, message) of a refused part
+    long_key, far_key = "1" * 5000, "1" * 40
+    for change, pointer, message in [
+        ({"down_decorations": {"1": {"sym": "k", "x": 1}}}, "/down_decorations/1", "unknown keys"),
+        ({"down_decorations": {"1": {"shift": 1}}}, "/down_decorations/1", "missing 'sym'"),
+        ({"down_decorations": {"1": {"sym": "k", "shift": 1.5}}}, "/down_decorations/1/shift",
+         "integer required"),
+        ({"down_decorations": {"1": {"sym": "2k"}}}, "/down_decorations/1/sym", "bad symbol"),
+        ({"down_decorations": {"1": {"sym": 5}}}, "/down_decorations/1/sym", "string"),
+        ({"b": "kappa"}, "/b", "exact rational required"),
+        ({"down_decorations": []}, "/down_decorations", "object of height"),
+        ({"down_decorations": {"1": "rho"}}, "/down_decorations/1", "names 'rho'"),
+        ({"across_decorations": {"0": {"sym": "x"}}}, "/across_decorations/0", "names 'x'"),
+        ({"down_decorations": {long_key: "k"}}, f"/down_decorations/{long_key}",
+         "height must be in [1, 2]"),
+        ({"down_decorations": {far_key: "k"}}, f"/down_decorations/{far_key}",
+         "height must be in [1, 2]"),
+        ({"down_decorations": {"0": "k"}}, "/down_decorations/0", "height must be in [1, 2]"),
+        ({"across_decorations": {"3": "k"}}, "/across_decorations/3", "height must be in [0, 2]"),
+    ]:
+        with pytest.raises(SchemaError) as exc:
+            parse_weights(json.dumps({"b": 0, "lambda": 1, "L": 2, **change}))
+        assert exc.value.pointer == pointer and message in exc.value.message, change
+    with pytest.raises(SchemaError, match="top-level object required") as exc:
+        parse_weights("[]")
+    assert exc.value.pointer == ""
 
 
 def test_parse_weights_rational_background():
@@ -293,6 +319,20 @@ DMR_2_2 = ["compute", "--model", "dmr", "--param", "r=2", "--param", "L=2"]
     (["bench", "--sweep", "t:\u0663:4", "--L", "1"], "unexpected character"),
     (["bench", "--sweep", "t:a:4", "--L", "1"], "sweep t bound must be an integer"),
     (["compute", "--weights", "decimal.json"], "/b: floating literal '1.5' not allowed"),
+    # every engine reads a weight by one rule: closed-sum builds no spec
+    (DMR_2_2 + ["--param", "kappa=rho", "--engines", "closed-sum"], "reserve"),
+    (["bench", "--model", "rogers", "--param", "kappas=2", "--param", "L=3",
+      "--sweep", "n:1:3", "--engines", "brute"], "need 2 down weights, got 1"),
+    (["compute", "--model", "dmr", "--param", "zz=1"], "unknown parameter 'zz'"),
+    (["bench", "--model", "dmr", "--param", "L=2", "--sweep", "t:1:2"],
+     "model bench sweeps r, n or L, not t"),
+    (["bench", "--sweep", "L:1:2", "--weights", "w.json"], "cannot use a fixed weights file"),
+    (["bench", "--sweep", "r:1:2", "--L", "2"], "weights bench sweeps t or L, not r"),
+    (["compute", "--L", "1", "--engines", "nosuch"], "unknown engine 'nosuch'"),
+    (["compute", "--L", "1", "--engines", "closed-form"], "engine closed-form needs --model"),
+    (["compute", "--L", "1", "--engines", "brute,tmatrix"], "exactly one engine"),
+    (["bench", "--L", "1", "--sweep", "t:3:1"], "sweep range is empty"),
+    (["gf"], "gf needs --weights or --L"),
 ])
 def test_invalid_input_one_line_error_exit_2(args, message, tmp_path, monkeypatch, capsys):
     (tmp_path / "w.json").write_text(DMR_JSON)
@@ -369,6 +409,14 @@ def test_params_classes_refuse_what_the_cli_refuses():
                  lambda: DmrParams(2, 2, kappa="1.5")):
         with pytest.raises(ValueError):
             make()
+    # a weight that names an engine's variable is refused by every entry point
+    for make in (lambda: DmrParams(2, 3, kappa="rho"), lambda: DmrParams(2, 3, omega="rho^-1"),
+                 lambda: FourWeightParams(2, 4, kappa1="x"), lambda: rogers(2, None, ["x", 2]),
+                 lambda: stratified_weight(2, 1, ["x", "rho"]),
+                 lambda: RogersParams(2, kappas=[1, "rho"]), lambda: rogers_weight_spec(2, ["x"]),
+                 lambda: chebyshev_s(2, "x")):
+        with pytest.raises(ValueError, match="reserve"):
+            make()
 
 
 def test_library_reads_a_weight_text_as_the_cli_does():
@@ -377,6 +425,7 @@ def test_library_reads_a_weight_text_as_the_cli_does():
     assert (DmrParams(2, 3, kappa="2*k").closed_sum()
             == DmrParams(2, 3, kappa=2 * sym("k")).closed_sum())
     assert chebyshev_s(2, "b+1") == chebyshev_s(2, sym("b") + 1)
+    assert WeightSpec(2, down={1: "kappa"}) == WeightSpec(2, down={1: sym("kappa")})
 
 
 def test_crosscheck_grid_heights(capsys):

@@ -374,6 +374,11 @@ def test_strata_support_and_errors():
         stratified_weight(5, 3, KAPPAS[:2])
     with pytest.raises(InsufficientWeights):
         rogers(5, 4, KAPPAS[:2])
+    # a model reads min(n, L) kappas, so it refuses fewer when it is built
+    with pytest.raises(InsufficientWeights, match="need 3 down weights, got 1"):
+        closedforms.RogersParams(3, 3, kappas=(2,))
+    with pytest.raises(InsufficientWeights, match="need 2 down weights, got 1"):
+        closedforms.RogersParams(2, kappas=(2,))
 
 
 def test_rogers_and_strata_check_their_sizes_as_rogers_params_does():

@@ -86,6 +86,8 @@ def test_path_weight_strip_violation():
         path_weight(LatticePath(1, ("up",)), w)
     with pytest.raises(ValueError):
         path_weight(LatticePath(0, ("down",)), w)
+    with pytest.raises(ValueError, match="bad step 'sideways'"):
+        path_weight(LatticePath(0, ("sideways",)), w)
 
 
 def test_path_weight_forms_no_product_of_its_own(monkeypatch):

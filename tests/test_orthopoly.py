@@ -168,6 +168,8 @@ def test_weight_spec_validation():
         WeightSpec(2, across={-1: sym("kappa")})
     with pytest.raises(TypeError):
         WeightSpec(2, b=0.5)
+    with pytest.raises(ValueError, match="a weight must be"):
+        WeightSpec(2, down={1: 1.5})
     # symbolic effective lambdas are fine even over a zero background
     WeightSpec.generic(3)
 

@@ -43,6 +43,8 @@ def test_paving_count_recurrences():
         assert motzkin[k] == 2 * motzkin[k - 1] + motzkin[k - 2]
         assert paving_count(k, "ballot") == ballot[k]
         assert paving_count(k, "motzkin") == motzkin[k]
+    with pytest.raises(ValueError, match="kind must be 'motzkin' or 'ballot'"):
+        paving_count(2, "dyck")
 
 
 def test_paving_structure():

@@ -36,6 +36,17 @@ def test_cli_reads_no_number_with_fraction():
     assert found == []
 
 
+def test_weights_have_one_reader():
+    # orthopoly._weight alone turns a weight into a polynomial: the closed
+    # forms import no reader of their own, and the reserved-name refusal is
+    # written once
+    path = SOURCES[0].with_name("closedforms.py")
+    imported = {alias.name for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported & {"as_poly", "parse_polynomial"} == set()
+    assert sum(path.read_text().count("reserve for themselves") for path in SOURCES) == 1
+
+
 def test_library_modules_read_every_name_they_import():
     # a deleted use leaves its import behind; __init__.py imports to export
     dead = []

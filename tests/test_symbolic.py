@@ -198,6 +198,8 @@ def test_series_constant_term_and_truncation():
     negative = TruncatedSeries("rho", {}, -1)
     with pytest.raises(TruncationInsufficient):
         negative.constant_term()
+    with pytest.raises(ValueError, match="stored exponent 4 beyond truncation order 3"):
+        TruncatedSeries("x", {4: 1}, 3)
 
 
 def test_constant_term_ratio_geometric():
@@ -390,6 +392,10 @@ def test_parse_polynomial():
         parse_polynomial("x +")
     with pytest.raises(ValueError, match="expected \\) at the end"):
         parse_polynomial("(x")
+    with pytest.raises(ValueError, match="exponent must be an integer"):
+        parse_polynomial("x^1/2")
+    with pytest.raises(ValueError, match="unexpected token '\\*'"):
+        parse_polynomial("*x")
     with pytest.raises(ValueError, match="nested too deeply"):
         parse_polynomial("(" * 1200 + "x" + ")" * 1200)
     assert parse_polynomial("(" * 50 + "x" + ")" * 50) == X
