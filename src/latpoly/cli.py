@@ -93,7 +93,7 @@ def parse_weights(text: str) -> WeightSpec:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a number past int()'s digit limit
         raise SchemaError("", f"invalid JSON: {exc}") from None
     except RecursionError:
         raise SchemaError("", "invalid JSON: nested too deeply") from None

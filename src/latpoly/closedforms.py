@@ -332,8 +332,8 @@ def _needed(n: int, L) -> int:
 
 
 def _kappa_weights(kappas, n: int = 0, L=None) -> list:
-    """The kappas, each read by _weight; fewer than the Rogers model of
-    half-length n and strip height L reads are refused."""
+    """The kappas, each read by _weight; InsufficientWeights when there are
+    fewer than the _needed(n, L) that a Rogers model reads."""
     kappas, needed = [_weight(k, "kappa") for k in kappas], _needed(n, L)
     if len(kappas) < needed:
         raise InsufficientWeights(f"need {needed} down weights, got {len(kappas)}")

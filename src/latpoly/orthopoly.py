@@ -37,7 +37,7 @@ def _weight(value, what: str) -> LaurentPolynomial:
     except TypeError:  # as_poly's refusal of anything but an exact value
         raise ValueError("a weight must be an integer, a Fraction, a polynomial"
                          f" or its text; {what} is {value!r}") from None
-    reserved = poly._bound and sorted(poly.symbols() & {"x", SERIES_VAR})  # 0: a constant
+    reserved = poly._bound and sorted(poly.symbols() & {"x", SERIES_VAR})  # 0 for a constant
     if reserved:
         raise ValueError(f"{what} names {reserved[0]!r}, "
                          "a variable the engines reserve for themselves")

@@ -233,6 +233,10 @@ def test_parse_weights_schema_errors():
     with pytest.raises(SchemaError, match="top-level object required") as exc:
         parse_weights("[]")
     assert exc.value.pointer == ""
+    # a JSON number past int()'s digit limit is invalid JSON, not a bare ValueError
+    with pytest.raises(SchemaError, match="invalid JSON") as exc:
+        parse_weights('{"b": 0, "lambda": 1, "L": ' + "9" * 5000 + "}")
+    assert exc.value.pointer == ""
 
 
 def test_parse_weights_rational_background():
