@@ -331,10 +331,19 @@ def _needed(n: int, L) -> int:
     return n if L is None else min(n, L)
 
 
-def _kappa_weights(kappas, n: int = 0, L=None) -> list:
-    """The kappas, each read by _weight; InsufficientWeights when there are
-    fewer than the _needed(n, L) that a Rogers model reads."""
-    kappas, needed = [_weight(k, "kappa") for k in kappas], _needed(n, L)
+class _Kappas(tuple):
+    """Kappas that are weights already: each read by _weight, or a kappa_i
+    symbol.  A RogersParams holds its kappas as one, so the sum and the spec
+    it hands them to check their count alone."""
+
+
+def _kappa_weights(kappas, n: int = 0, L=None) -> _Kappas:
+    """The kappas, each read by _weight unless they are _Kappas already;
+    InsufficientWeights when there are fewer than the _needed(n, L) that a
+    Rogers model reads."""
+    if type(kappas) is not _Kappas:
+        kappas = _Kappas(_weight(k, "kappa") for k in kappas)
+    needed = _needed(n, L)
     if len(kappas) < needed:
         raise InsufficientWeights(f"need {needed} down weights, got {len(kappas)}")
     return kappas
@@ -431,12 +440,12 @@ class RogersParams:
         if self.L is not None:
             _check_size(self.L, "strip height L")
         if self.kappas is not None:
-            object.__setattr__(self, "kappas", tuple(_kappa_weights(self.kappas, self.n, self.L)))
+            object.__setattr__(self, "kappas", _kappa_weights(self.kappas, self.n, self.L))
 
-    def _kappas(self) -> list:
+    def _kappas(self) -> _Kappas:
         if self.kappas is not None:
-            return list(self.kappas)
-        return [sym(f"kappa_{i}") for i in range(1, max(_needed(self.n, self.L), 1) + 1)]
+            return self.kappas
+        return _Kappas(sym(f"kappa_{i}") for i in range(1, max(_needed(self.n, self.L), 1) + 1))
 
     def weight_spec(self) -> WeightSpec:
         return self._spec

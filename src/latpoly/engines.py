@@ -38,10 +38,10 @@ from .symbolic import (
     _dot,
     _inversion_order,
     _ratio_coefficient,
+    _reduced,
+    _rho_poly,
     constant_term_ratio,
-    monomial,
     series_invert,
-    sym,
 )
 from .orthopoly import WeightSpec, _laurent_backgrounds, ortho_poly, to_laurent
 from .paving import _decoration_cut
@@ -359,12 +359,12 @@ def generating_function(y_start: int, y_end: int, L: int, w: WeightSpec,
     d = q.y_hi - q.y_lo
     num, den = _ratio(y_start, y_end, L, w)
     if num.is_zero:
-        return TruncatedSeries("x", {}, order)
+        return TruncatedSeries._trusted("x", {}, order)
     # the cached numerator is multiplied as it is, so its split is reused
     inv = series_invert(den, _inversion_order(num, den, order - d, "x"), var="x")
     product = inv.mul_poly(num)
     coeffs = {e: product.coefficient(e - d) for e in range(d, order + 1)}
-    return TruncatedSeries("x", coeffs, order)
+    return TruncatedSeries._trusted("x", coeffs, order)
 
 
 @lru_cache(maxsize=4096)
@@ -373,15 +373,16 @@ def _kernel_power(b: int | Fraction, lam: int | Fraction, t: int) -> LaurentPoly
     common denominator of b and lam, B = d*b, M = d^2*lam and g = s^2 + B*s + M,
     the power is sum_n a_n d^(n-2t) rho^(n-t), a_n the coefficients of g^t.
     g * (g^t)' = t * g' * g^t gives a_2t = 1 and the exact division
-    (2t-n+1) a_(n-1) = M (n+1) a_(n+1) - B (t-n) a_n, for n = 2t .. 1."""
+    (2t-n+1) a_(n-1) = M (n+1) a_(n+1) - B (t-n) a_n, for n = 2t .. 1.  The
+    power is written as the whole numbers a_n d^n over d^(2t), so its
+    numerators, keyed by the exponent of rho, are what rho_ct reads."""
     d = lcm(b.denominator, lam.denominator)
     B, M = int(b * d), int(lam * d * d)
     a = [0] * (2 * t + 2)
     a[2 * t] = 1
     for n in range(2 * t, 0, -1):
         a[n - 1] = (M * (n + 1) * a[n + 1] - B * (t - n) * a[n]) // (2 * t - n + 1)
-    return LaurentPolynomial({(("rho", n - t),): Fraction(c, d ** (2 * t - n))
-                              for n, c in enumerate(a[:-1])})
+    return _rho_poly({n - t: c * d ** n for n, c in enumerate(a[:-1])}, d ** (2 * t))
 
 
 @lru_cache(maxsize=512)
@@ -392,7 +393,7 @@ def _rho_denominator_inverse(y_start: int, y_end: int, L: int, w: WeightSpec):
     b, lam = w.background_b, w.background_lambda
     lo, hi, den = (to_laurent(ortho_poly(k, j, w), b, lam) for k, j in _windows(q))
     return _Quotient(den, "rho", _dot([(1, lo, h_factor(q, w), hi,
-                                        monomial(lam, rho=-1) - sym("rho"))]))
+                                        _rho_poly({-1: lam, 1: -1}))]))
 
 
 def rho_ct(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
@@ -406,13 +407,15 @@ def rho_ct(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
     P_{L+1} is then the unit lam^(L+1); ``to_laurent`` raises ZeroLambda
     otherwise); decorations may stay symbolic or zero.  (lam/rho - rho) *
     ratio is a cached series rho^s * sum_k c_k rho^k, so the constant term is
-    the sum over k <= t - s of c_k times the kernel's coefficient of rho^(-s-k)."""
+    the sum over k <= t - s of c_k times the kernel's coefficient of rho^(-s-k).
+    That sum is one ``_dot`` whose scalars are the kernel's whole numerators,
+    keyed by the exponent of rho, scaled once by the kernel's denominator."""
     _check_strip(q.L, w)
     state = _rho_denominator_inverse(q.y_start, q.y_end, q.L, w)
-    kernel = _kernel_power(w.background_b, w.background_lambda, q.t).split("rho")
-    s = state.shift
-    return _dot([(c, kernel[-s - k]) for k, c in enumerate(state.upto(q.t - s))
-                 if -s - k in kernel])
+    kernel = _kernel_power(w.background_b, w.background_lambda, q.t)
+    num, s = kernel._num, state.shift
+    ct = _dot([(num[-s - k], c) for k, c in enumerate(state.upto(q.t - s)) if -s - k in num])
+    return _reduced(ct._den * kernel._den, ct._num, ct._bound)
 
 
 def cheb_ct(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
@@ -423,15 +426,13 @@ def cheb_ct(q: StripQuery, w: WeightSpec) -> LaurentPolynomial:
     background lam must be nonzero, as for rho_ct."""
     _check_strip(q.L, w)
     b, lam = _laurent_backgrounds(w.background_b, w.background_lambda)
-    rho, inv = sym("rho"), monomial(lam, rho=-1)
-    d = rho - inv
+    d = _rho_poly({1: 1, -1: -lam})
     d_pow = _Powers(d)
 
     def s(m: int) -> LaurentPolynomial:  # S_m, times D past m = 1
         if m < 2:
-            return rho + inv if m else ONE
-        return LaurentPolynomial({(("rho", m + 1),): 1,
-                                  (("rho", -m - 1),): -lam ** (m + 1)})
+            return _rho_poly({1: 1, -1: lam}) if m else ONE
+        return _rho_poly({m + 1: 1, -m - 1: -lam ** (m + 1)})
 
     def over_d(k: int, j: int) -> tuple:  # (N, e) with P_k^(j) = N / D^e
         terms = [(ds, orders, sum(m > 1 for m in orders))

@@ -16,7 +16,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import NearBranchPoint, ZeroLambda, _check_size
-from .symbolic import (SERIES_VAR, LaurentPolynomial, ONE, _exact, _whole, as_poly, monomial,
+from .symbolic import (SERIES_VAR, LaurentPolynomial, ONE, _exact, _rho_poly, _whole, as_poly,
                        parse_polynomial, sym)
 
 _X = sym("x")
@@ -205,8 +205,7 @@ def _laurent_backgrounds(b, lam) -> tuple:
 @lru_cache(maxsize=4096)
 def _to_laurent_cached(poly: LaurentPolynomial, b: int | Fraction,
                        lam: int | Fraction) -> LaurentPolynomial:
-    image = sym("rho") + b + monomial(lam, rho=-1)
-    return poly.substitute({"x": image})
+    return poly.substitute({"x": _rho_poly({1: 1, 0: b, -1: lam})})
 
 
 def to_laurent(p: LaurentPolynomial, b, lam) -> LaurentPolynomial:

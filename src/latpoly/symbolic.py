@@ -187,6 +187,19 @@ def _reduced(d: int, nums: dict, bound: int) -> "LaurentPolynomial":
     return p
 
 
+def _rho_poly(coeffs: dict, den: int = 1) -> "LaurentPolynomial":
+    """The sum of c/den * rho**e over {e: c}, each e an int, each c an int
+    or a Fraction, den a positive int: rho owns slot 0, so the key of rho**e
+    is e itself.  Zero coefficients are dropped, the result is in lowest
+    terms, and an |e| at the field limit raises SizeLimit, as the
+    constructor does.  Every polynomial in rho alone that an engine writes
+    is made here, with no tuple monomial and no per-term Fraction."""
+    bound = _checked(max(map(abs, coeffs), default=0))
+    d = lcm(*[c.denominator for c in coeffs.values()])
+    return _reduced(d * den, {e: c.numerator * (d // c.denominator)
+                              for e, c in coeffs.items() if c}, bound)
+
+
 def _scaled(nums: dict, c: int) -> dict:
     """A new dict of c times every numerator: a copy when c is 1, empty
     when c is 0.  It is not inlined in _dot, where a comprehension would
@@ -385,12 +398,15 @@ class LaurentPolynomial:
         """{exponent of var: its coefficient, a polynomial in the other
         symbols}, built in one pass over the terms when first asked for
         ``var`` and kept; each call returns a new dict."""
+        return dict(self._kept_split(var))
+
+    def _kept_split(self, var: str) -> dict:
+        """The kept split by ``var`` itself, made if need be: read, never
+        mutate."""
         kept = self._parts
-        if kept is not None and kept[0] == var:
-            return dict(kept[1])
-        parts = _split(self, var)
-        self._parts = (var, parts)
-        return dict(parts)
+        if kept is None or kept[0] != var:
+            kept = self._parts = (var, _split(self, var))
+        return kept[1]
 
     def coefficient_of(self, var: str, exponent: int) -> "LaurentPolynomial":
         """Coefficient of var**exponent, as a polynomial in the other symbols."""
@@ -656,6 +672,12 @@ class TruncatedSeries:
     largest exponent whose coefficient is trusted.  A series made by
     ``mul_poly(p, exponent=e)`` knows the coefficient of var**e alone and
     refuses to read or multiply anything else.
+
+    The constructor checks the order and every exponent and coefficient it
+    is given.  :func:`series_invert`, :meth:`mul_poly` and the engines'
+    generating function compute their exponents from ints already checked,
+    none past the order, so they build their results through ``_trusted``,
+    which only drops zero coefficients.
     """
 
     __slots__ = ("var", "_coeffs", "truncation_order", "_only")
@@ -676,6 +698,17 @@ class TruncatedSeries:
             self._coeffs[e] = c
         self.truncation_order = truncation_order
         self._only = None
+
+    @classmethod
+    def _trusted(cls, var: str, coefficients: dict, truncation_order: int,
+                 only: int | None = None) -> "TruncatedSeries":
+        """The series of {int exponent, none past the order: polynomial},
+        with its zero coefficients dropped and nothing else checked; with
+        ``only`` set it knows the coefficient of var**only alone."""
+        s = object.__new__(cls)
+        s.var, s.truncation_order, s._only = var, truncation_order, only
+        s._coeffs = {e: c for e, c in coefficients.items() if c._num}
+        return s
 
     def coefficients(self) -> dict:
         return dict(self._coeffs)
@@ -711,7 +744,7 @@ class TruncatedSeries:
         terms reaches, up to the trusted order, or, with ``exponent`` set,
         for that e alone, and the result holds that coefficient alone."""
         self._check_known()
-        parts = as_poly(p).split(self.var)
+        parts = as_poly(p)._kept_split(self.var)
         order = self.truncation_order + min(parts, default=0)
         coeffs = self._coeffs
         if exponent is None:
@@ -721,11 +754,9 @@ class TruncatedSeries:
                 f"exponent {exponent} beyond truncation order {order}")
         else:
             reached = (exponent,)
-        out = TruncatedSeries(self.var, {
+        return TruncatedSeries._trusted(self.var, {
             e: _dot([(coeffs[e - pe], pc) for pe, pc in parts.items() if e - pe in coeffs])
-            for e in reached}, order)
-        out._only = exponent
-        return out
+            for e in reached}, order, exponent)
 
     def __mul__(self, other):
         return self.mul_poly(other)
@@ -877,7 +908,7 @@ def series_invert(d, order: int, var: str = SERIES_VAR) -> TruncatedSeries:
     _check_size(order, "series order")
     state = _inverse_state(as_poly(d), var)
     coeffs = {k + state.shift: c for k, c in enumerate(state.upto(order))}
-    return TruncatedSeries(var, coeffs, order + state.shift)
+    return TruncatedSeries._trusted(var, coeffs, order + state.shift)
 
 
 def _inversion_order(num: LaurentPolynomial, den: LaurentPolynomial,
@@ -885,10 +916,11 @@ def _inversion_order(num: LaurentPolynomial, den: LaurentPolynomial,
     """Least order to which ``den`` is inverted so that the coefficient of
     var**exponent of num/den can be read: ``series_invert(den, order, var)``
     is trusted up to order - den's lowest exponent, and multiplying by
-    ``num`` (nonzero) shifts that by num's lowest exponent.  den's lowest
+    ``num`` (nonzero) shifts that by num's lowest exponent, read from the
+    split by ``var`` that ``mul_poly`` then reads too.  den's lowest
     exponent is read from its cached ``_unit_split``, which refuses a den
     that cannot be inverted before anything else reads it."""
-    return max(exponent + _unit_split(den, var)[0] - num.min_exponent(var), 0)
+    return max(exponent + _unit_split(den, var)[0] - min(num._kept_split(var)), 0)
 
 
 def _ratio_coefficient(num, den, e: int, var: str) -> LaurentPolynomial:

@@ -47,6 +47,58 @@ def test_weights_have_one_reader():
     assert sum(path.read_text().count("reserve for themselves") for path in SOURCES) == 1
 
 
+def test_only_symbolic_writes_a_rho_monomial():
+    # every polynomial in rho alone is written by symbolic._rho_poly, on
+    # packed keys; a tuple monomial, monomial(..., rho=...) or sym("rho")
+    # elsewhere would build one through the checked constructor again
+    def writes_rho(node):
+        if isinstance(node, ast.Tuple):
+            first = node.elts[0] if len(node.elts) == 2 else None
+            return isinstance(first, ast.Constant) and first.value == "rho"
+        if not isinstance(node, ast.Call):
+            return False
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name == "monomial":
+            return any(k.arg == "rho" for k in node.keywords)
+        return (name == "sym" and len(node.args) == 1
+                and isinstance(node.args[0], ast.Constant) and node.args[0].value == "rho")
+
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES if path.name != "symbolic.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path))) if writes_rho(node)]
+    assert found == []
+
+
+def test_series_engines_build_through_no_checked_constructor(monkeypatch):
+    # rho-ct and cheb-ct write their kernels, images and S_m through
+    # _rho_poly, and series_invert and mul_poly their results through
+    # TruncatedSeries._trusted, so from cold caches no query of these
+    # engines runs either checked constructor
+    from fractions import Fraction
+    from latpoly import (LaurentPolynomial, StripQuery, TruncatedSeries, WeightSpec,
+                         rho_ct, sym, viennot_ct)
+    from latpoly.engines import cheb_ct
+
+    w = WeightSpec(3, Fraction(1, 2), -2, across={1: sym("a")}, down={3: sym("u")})
+    calls = []
+    for cls in (LaurentPolynomial, TruncatedSeries):
+        def counting(self, *args, init=cls.__init__, name=cls.__name__):
+            calls.append(name)
+            init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting)
+    seen = {}
+    for engine in (rho_ct, cheb_ct, viennot_ct):
+        for module in ("symbolic", "orthopoly", "engines", "paving"):
+            for obj in vars(importlib.import_module(f"latpoly.{module}")).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+        calls.clear()
+        for t in range(6):
+            for ends in ((0, 2), (2, 0)):
+                engine(StripQuery(t, *ends, 3), w)
+        seen[engine.__name__] = sorted(calls)
+    assert seen == {"rho_ct": [], "cheb_ct": [], "viennot_ct": []}
+
+
 def test_library_modules_read_every_name_they_import():
     # a deleted use leaves its import behind; __init__.py imports to export
     dead = []

@@ -39,6 +39,7 @@ from latpoly.symbolic import (
     _inversion_order,
     _parse_cached,
     _render,
+    _rho_poly,
     _unit_split,
 )
 
@@ -805,6 +806,61 @@ def test_inversion_order_is_the_least_that_reads(d, p, e):
     if order > 0:
         with pytest.raises(TruncationInsufficient):
             series_invert(d, order - 1).mul_poly(p, exponent=e)
+
+
+# -- polynomials in rho and series built from checked ints --------------------
+
+FIELD_EDGE = 2 ** 31  # the first |exponent| that SizeLimit refuses
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(
+           st.one_of(st.integers(-6, 6),
+                     st.sampled_from([FIELD_EDGE - 1, 1 - FIELD_EDGE, FIELD_EDGE, -FIELD_EDGE])),
+           st.one_of(st.integers(-5, 5),
+                     st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))),
+           max_size=6),
+       st.integers(1, 4))
+def test_rho_builder_equals_the_tuple_constructor(coeffs, den):
+    # ints, Fractions (whole ones too), zeros, negative exponents and the
+    # empty map; an exponent at the field limit is refused by both
+    terms = {(("rho", e),): Fraction(c, den) for e, c in coeffs.items()}
+    if any(abs(e) >= FIELD_EDGE for e in coeffs):
+        with pytest.raises(SizeLimit):
+            LaurentPolynomial(terms)
+        with pytest.raises(SizeLimit):
+            _rho_poly(coeffs, den)
+        return
+    built, expected = _rho_poly(coeffs, den), LaurentPolynomial(terms)
+    # lowest terms make the held form unique, so equal values hold alike
+    assert (built._den, built._num) == (expected._den, expected._num)
+    assert built.terms() == expected.terms()
+    assert hash(built) == hash(expected)
+    assert built._bound >= max((abs(e) for e in built._num), default=0)
+
+
+def _rebuilt(s: TruncatedSeries) -> TruncatedSeries:
+    """s through the checked public constructor."""
+    return TruncatedSeries(s.var, s.coefficients(), s.truncation_order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_led(), polys(), st.integers(0, 6), st.integers(0, 8))
+def test_trusted_series_equal_the_checked_constructor(d, p, order, below):
+    inv = series_invert(d, order)
+    product = inv.mul_poly(p)
+    e = product.truncation_order - below
+    single = inv.mul_poly(p, e)
+    for s in (inv, product, single):
+        kept = s.coefficients()
+        assert all(not c.is_zero for c in kept.values())
+        assert all(k <= s.truncation_order for k in kept)
+        again = _rebuilt(s)
+        assert (again.var, again.coefficients(), again.truncation_order) == (
+            s.var, kept, s.truncation_order)
+    assert inv == _rebuilt(inv) and product == _rebuilt(product)
+    assert single.coefficient(e) == product.coefficient(e)
+    assert set(single.coefficients()) <= {e}
 
 
 def test_series_invert_shared_across_threads():
